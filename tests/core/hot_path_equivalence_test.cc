@@ -112,6 +112,24 @@ std::vector<BatteryCase> Battery() {
     c.config.faults.offline_rate = 0.05;
     cases.push_back(c);
   }
+  {
+    // The fixed-margin policy: PlanWithFactor instead of PlanToTarget.
+    BatteryCase c{"overbooking_factor", BatteryBase(), 0x364f4a8f74a0c786ull,
+                  0x5dcce82af6fc94b0ull, 0x22bf60a42a595f12ull, 13407};
+    c.config.market_users = 10;
+    c.config.overbooking_factor = 1.5;
+    cases.push_back(c);
+  }
+  {
+    // A discounted model and a wide replica cap: the planner walks past the
+    // default two-entry prefix of the candidate order.
+    BatteryCase c{"wide_replicas", BatteryBase(), 0x3afd1082cd91ebf5ull,
+                  0x5dcce82af6fc94b0ull, 0xdc582bc5c45f157bull, 13407};
+    c.config.market_users = 10;
+    c.config.planner.max_replicas = 8;
+    c.config.planner.confidence_discount = 0.8;
+    cases.push_back(c);
+  }
   return cases;
 }
 
