@@ -11,13 +11,20 @@
 //   $ bench_hot_path --json BENCH_hot_path.json
 //   $ bench_hot_path --users 20000 --market_users 2000 --threads 2
 //
+// Flags take their value as the next argument; an unknown flag, a missing
+// value, or a malformed or out-of-range number exits 2 with a one-line
+// message.
+//
 // The default scale (2000 users, 9 days, 500-user markets) matches the CI
 // perf-smoke row of bench_population_scale, small enough to finish in
 // seconds on one core.
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "bench/bench_util.h"
 #include "src/core/shard_engine.h"
@@ -33,27 +40,57 @@ struct HotPathOptions {
   int repeats = 1;    // Throughput reported from the fastest repeat.
 };
 
-HotPathOptions OptionsFromArgv(int argc, char** argv) {
-  HotPathOptions options;
-  for (int i = 1; i < argc; ++i) {
-    auto int_flag = [&](const char* name, int64_t* out) {
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-        *out = std::atoll(argv[i + 1]);
-      }
-    };
-    int_flag("--users", &options.users);
-    int_flag("--market_users", &options.market_users);
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      options.days = std::atof(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      options.repeats = std::atoi(argv[i + 1]);
-    }
+// Parses `text` whole as a T in [lo, hi]; NaN and partial parses fail.
+template <typename T>
+bool ParseInRange(const char* text, T lo, T hi, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    return false;
   }
-  return options;
+  *out = value;
+  return true;
+}
+
+// Strict `--flag value` command line: an unknown flag, a missing value, or a
+// malformed or out-of-range number is a usage error. Returns "" or the
+// one-line diagnostic.
+std::string OptionsFromArgv(int argc, char** argv, HotPathOptions* options) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const bool known = flag == "--users" || flag == "--market_users" || flag == "--threads" ||
+                       flag == "--days" || flag == "--repeats" || flag == "--json";
+    if (!known) {
+      return "unknown flag '" + flag +
+             "' (flags: --users --market_users --threads --days --repeats --json)";
+    }
+    if (i + 1 >= argc) {
+      return flag + " needs a value";
+    }
+    const char* value = argv[++i];
+    const auto bad = [&](const char* range) {
+      return flag + " must be " + range + ", got '" + value + "'";
+    };
+    if (flag == "--users" && !ParseInRange<int64_t>(value, 1, INT32_MAX, &options->users)) {
+      return bad("an integer in [1, 2147483647]");
+    }
+    if (flag == "--market_users" &&
+        !ParseInRange<int64_t>(value, 0, INT32_MAX, &options->market_users)) {
+      return bad("an integer in [0, 2147483647] (0 = one market)");
+    }
+    if (flag == "--threads" && !ParseInRange(value, 0, 1024, &options->threads)) {
+      return bad("an integer in [0, 1024] (0 = all cores)");
+    }
+    if (flag == "--days" && !ParseInRange(value, 1.0, 3650.0, &options->days)) {
+      return bad("a number of days in [1, 3650]");
+    }
+    if (flag == "--repeats" && !ParseInRange(value, 1, 1000, &options->repeats)) {
+      return bad("an integer in [1, 1000]");
+    }
+    // --json's path is read by BenchJson.
+  }
+  return "";
 }
 
 // Digest halves as doubles: every uint32 is exactly representable, so the
@@ -81,7 +118,7 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
 
   double best_wall_s = 0.0;
   ShardedComparison result;
-  for (int r = 0; r < std::max(1, hot.repeats); ++r) {
+  for (int r = 0; r < hot.repeats; ++r) {
     const auto start = std::chrono::steady_clock::now();
     ShardedComparison run = RunShardedComparison(config, options);
     const double wall_s =
@@ -124,7 +161,11 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::HotPathOptions options = pad::OptionsFromArgv(argc, argv);
+  pad::HotPathOptions options;
+  if (const std::string error = pad::OptionsFromArgv(argc, argv, &options); !error.empty()) {
+    std::cerr << "bench_hot_path: " << error << "\n";
+    return 2;
+  }
   pad::bench::BenchJson json(argc, argv, "hot_path");
   const int status = pad::Run(options, json);
   if (status != 0) {

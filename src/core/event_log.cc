@@ -35,9 +35,45 @@ const char* SimEventTypeName(SimEventType type) {
   return "unknown";
 }
 
-void EventLog::Record(SimEvent event) {
+namespace {
+
+// FNV-1a over each field's bytes, little-endian (never whole-struct bytes:
+// padding is indeterminate and would poison the hash).
+uint64_t FoldEvent(uint64_t hash, const SimEvent& event) {
+  const auto mix = [&hash](uint64_t bits) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffull;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_double = [&mix](double value) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    mix(bits);
+  };
+  mix_double(event.time);
+  mix(static_cast<uint64_t>(event.type));
+  mix(static_cast<uint64_t>(event.impression_id));
+  mix(static_cast<uint64_t>(event.campaign_id));
+  mix(static_cast<uint64_t>(static_cast<int64_t>(event.client_id)));
+  mix_double(event.value);
+  return hash;
+}
+
+}  // namespace
+
+EventLog EventLog::DigestOnly() {
+  EventLog log;
+  log.retain_events_ = false;
+  return log;
+}
+
+void EventLog::Record(const SimEvent& event) {
   ++counts_[static_cast<size_t>(event.type)];
-  events_.push_back(event);
+  digest_ = FoldEvent(digest_, event);
+  if (retain_events_) {
+    events_.push_back(event);
+  }
 }
 
 void EventLog::OnSale(double time, int64_t impression_id, int64_t campaign_id, double price) {
@@ -82,32 +118,6 @@ void EventLog::WriteCsv(std::ostream& out) const {
                      CsvWriter::Field(event.campaign_id), CsvWriter::Field(event.client_id),
                      CsvWriter::Field(event.value)});
   }
-}
-
-uint64_t EventLog::Digest() const {
-  // FNV-1a over each field's bytes in event order (never whole-struct bytes:
-  // padding is indeterminate and would poison the hash).
-  uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffull;
-      hash *= 0x100000001b3ull;
-    }
-  };
-  const auto mix_double = [&mix](double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  for (const SimEvent& event : events_) {
-    mix_double(event.time);
-    mix(static_cast<uint64_t>(event.type));
-    mix(static_cast<uint64_t>(event.impression_id));
-    mix(static_cast<uint64_t>(event.campaign_id));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(event.client_id)));
-    mix_double(event.value);
-  }
-  return hash;
 }
 
 std::array<int64_t, 24> EventLog::ByHourOfDay(SimEventType type) const {

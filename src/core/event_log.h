@@ -1,10 +1,16 @@
 // Structured event log of a simulation run.
 //
-// When attached to RunPad (via PadRunOptions), every market and dispatch
-// event is recorded with its timestamp: what sold, where replicas went,
-// which rescues fired, what billed, what expired. The log exports to CSV
-// for offline analysis and offers the summaries a policy debugger reaches
-// for first (events by hour of day, per-campaign fill rates).
+// When attached to RunPad, every market and dispatch event is recorded with
+// its timestamp: what sold, where replicas went, which rescues fired, what
+// billed, what expired. The log exports to CSV for offline analysis and
+// offers the summaries a policy debugger reaches for first (events by hour
+// of day, per-campaign fill rates).
+//
+// Every recorded event is folded into a running FNV-1a digest as it
+// arrives. A default-constructed log also keeps the events; a digest-only
+// log (EventLog::DigestOnly(), what the shard engine's SimulateMarket uses)
+// keeps just the digest and the per-type counts, so a market's event stream
+// is hashed without buffering it.
 #ifndef ADPAD_SRC_CORE_EVENT_LOG_H_
 #define ADPAD_SRC_CORE_EVENT_LOG_H_
 
@@ -47,6 +53,12 @@ struct SimEvent {
 
 class EventLog : public LedgerObserver {
  public:
+  // Keeps every event.
+  EventLog() = default;
+  // Keeps only the digest and the per-type counts; events() stays empty and
+  // the summaries below see no events.
+  static EventLog DigestOnly();
+
   // LedgerObserver:
   void OnSale(double time, int64_t impression_id, int64_t campaign_id, double price) override;
   void OnBilledDisplay(double time, int64_t impression_id, int64_t campaign_id,
@@ -71,8 +83,9 @@ class EventLog : public LedgerObserver {
 
   // FNV-1a digest over every field of every event, in order. Two logs with
   // equal digests recorded byte-identical event streams; the parallel
-  // determinism tests compare serial and threaded runs through this.
-  uint64_t Digest() const;
+  // determinism tests compare serial and threaded runs through this. Equal
+  // for a retaining and a digest-only log fed the same events.
+  uint64_t Digest() const { return digest_; }
 
   // Events of one type bucketed by hour of day (24 bins, counts).
   std::array<int64_t, 24> ByHourOfDay(SimEventType type) const;
@@ -91,10 +104,12 @@ class EventLog : public LedgerObserver {
   std::map<int64_t, CampaignOutcome> PerCampaign() const;
 
  private:
-  void Record(SimEvent event);
+  void Record(const SimEvent& event);
 
+  bool retain_events_ = true;
   std::vector<SimEvent> events_;
   std::array<int64_t, kNumSimEventTypes> counts_{};
+  uint64_t digest_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
 };
 
 }  // namespace pad

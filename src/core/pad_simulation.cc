@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <optional>
-#include <queue>
 
 #include "src/apps/workload.h"
 #include "src/common/arena.h"
@@ -186,17 +185,70 @@ struct PendingEvent {
   uint32_t client = 0;
 };
 
-struct PendingEventLater {
-  bool operator()(const PendingEvent& a, const PendingEvent& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
+bool Earlier(const PendingEvent& a, const PendingEvent& b) {
+  if (a.time != b.time) {
+    return a.time < b.time;
   }
-};
+  return a.seq < b.seq;
+}
 
-using PendingEventQueue =
-    std::priority_queue<PendingEvent, std::vector<PendingEvent>, PendingEventLater>;
+// Binary min-heap of pending client events on (time, seq). Nearly every pop
+// is followed by a push of the same client's next event, so ReplaceTop does
+// both in one sift-down instead of a pop's sift-down plus a push's sift-up.
+// Every seq is unique, so (time, seq) is a strict total order and the pop
+// order is the one any correct priority queue yields.
+class RunQueue {
+ public:
+  explicit RunQueue(size_t capacity) { heap_.reserve(capacity); }
+
+  bool empty() const { return heap_.empty(); }
+  const PendingEvent& top() const { return heap_.front(); }
+
+  void Push(const PendingEvent& event) {
+    size_t hole = heap_.size();
+    heap_.push_back(event);
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!Earlier(event, heap_[parent])) {
+        break;
+      }
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = event;
+  }
+
+  void Pop() {
+    const PendingEvent last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      SiftDownFromTop(last);
+    }
+  }
+
+  // Pop() followed by Push(event).
+  void ReplaceTop(const PendingEvent& event) { SiftDownFromTop(event); }
+
+ private:
+  // Fills the top slot with `event`, moving earlier children up.
+  void SiftDownFromTop(const PendingEvent& event) {
+    const size_t n = heap_.size();
+    size_t hole = 0;
+    for (size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) {
+        ++child;
+      }
+      if (!Earlier(heap_[child], event)) {
+        break;
+      }
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = event;
+  }
+
+  std::vector<PendingEvent> heap_;
+};
 
 }  // namespace
 
@@ -281,9 +333,7 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
   Arena arena;
   std::vector<ClientFeed> feeds(clients.size());
   uint64_t next_seq = epoch_times.size();
-  std::vector<PendingEvent> queue_storage;
-  queue_storage.reserve(clients.size());
-  PendingEventQueue queue(PendingEventLater{}, std::move(queue_storage));
+  RunQueue queue(clients.size());
   {
     UserWorkload scratch;
     for (size_t c = 0; c < clients.size(); ++c) {
@@ -304,7 +354,7 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
       std::sort(events, events + feed.count,
                 [](const FeedEvent& a, const FeedEvent& b) { return a.time < b.time; });
       if (feed.count > 0) {
-        queue.push(PendingEvent{events[0].time, next_seq++, static_cast<uint32_t>(c)});
+        queue.Push(PendingEvent{events[0].time, next_seq++, static_cast<uint32_t>(c)});
       }
     }
   }
@@ -335,7 +385,6 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
       break;
     }
     const PendingEvent pending = queue.top();
-    queue.pop();
     ClientFeed& feed = feeds[pending.client];
     const FeedEvent& event = feed.events[feed.next++];
     if (event.is_slot) {
@@ -343,8 +392,12 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
     } else {
       clients[pending.client]->OnContentTransfer(event.transfer);
     }
+    // The client's next event takes its place; the handlers above never
+    // touch the queue.
     if (feed.next < feed.count) {
-      queue.push(PendingEvent{feed.events[feed.next].time, next_seq++, pending.client});
+      queue.ReplaceTop(PendingEvent{feed.events[feed.next].time, next_seq++, pending.client});
+    } else {
+      queue.Pop();
     }
   }
 

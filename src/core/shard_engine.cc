@@ -170,15 +170,16 @@ MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>
     out.baseline = RunBaseline(market_context, inputs);
     out.baseline_digest = MetricsDigest(out.baseline);
   }
-  EventLog log;
+  // Only the market's event digest is kept: a digest-only log folds each
+  // event as it is recorded and buffers none of them.
+  EventLog log = EventLog::DigestOnly();
   out.pad = RunPad(market_context, inputs, event_digests ? &log : nullptr);
   out.pad_digest = MetricsDigest(out.pad);
   if (event_digests) {
     out.event_digest = log.Digest();
   }
   out.simulate_seconds = SecondsSince(simulate_start);
-  // The market's traces (and its event log) are freed on return: `inputs`
-  // goes out of scope here.
+  // The market's traces are freed on return: `inputs` goes out of scope here.
   return out;
 }
 

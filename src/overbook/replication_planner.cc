@@ -9,34 +9,34 @@
 namespace pad {
 namespace {
 
-// Candidate order: descending probability, index ascending for determinism.
-// Stable insertion sort into a reused buffer: a stable sort's output
-// permutation is unique, so this matches what std::stable_sort produced —
-// without std::stable_sort's per-call merge-buffer allocation, which the
-// population-scale profile showed once per planned impression. Candidate
-// lists are tens of entries, where insertion sort also wins on constants.
-// Sorting (prob, index) pairs keeps each comparison key adjacent to the
-// element being shifted instead of chasing probs[order[j - 1]].
-void SortedCandidateOrderInto(std::span<const double> probs,
-                              std::vector<std::pair<double, int>>& keyed,
-                              std::vector<int>& order) {
-  const size_t n = probs.size();
-  keyed.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    keyed[i] = {probs[i], static_cast<int>(i)};
-  }
-  for (size_t i = 1; i < n; ++i) {
-    const std::pair<double, int> value = keyed[i];
-    size_t j = i;
-    while (j > 0 && keyed[j - 1].first < value.first) {
-      keyed[j] = keyed[j - 1];
+// The first min(limit, n) entries of the candidate order: descending
+// probability, index ascending among ties — exactly the prefix a stable
+// descending sort produces, because for NaN-free input that prefix is
+// unique. Both planners read at most max_replicas entries of the order
+// (default 2, against the dozens of candidates a sale draws), so a bounded
+// insertion into a `limit`-entry buffer is enough: most candidates cost one
+// comparison against the current last entry. Candidates arrive in index
+// order, so an equal probability never displaces an entry already kept.
+// Keeping (prob, index) pairs puts each comparison key next to the element
+// being shifted and hands the planners the probability they read next.
+void SortedCandidateOrderInto(std::span<const double> probs, size_t limit,
+                              std::vector<std::pair<double, int>>& top) {
+  top.clear();
+  for (size_t i = 0; i < probs.size(); ++i) {
+    const std::pair<double, int> value{probs[i], static_cast<int>(i)};
+    size_t j = top.size();
+    if (j < limit) {
+      top.push_back(value);
+    } else if (top[j - 1].first < value.first) {
+      --j;  // Displaces the last entry.
+    } else {
+      continue;
+    }
+    while (j > 0 && top[j - 1].first < value.first) {
+      top[j] = top[j - 1];
       --j;
     }
-    keyed[j] = value;
-  }
-  order.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[i] = keyed[i].second;
+    top[j] = value;
   }
 }
 
@@ -56,18 +56,14 @@ double ReplicationPlanner::Tail(std::span<const double> probs, int k) const {
 ReplicaPlan ReplicationPlanner::PlanToTarget(std::span<const double> candidate_probs,
                                              int needed) const {
   PAD_CHECK(needed >= 1);
-  std::vector<int>& order = order_scratch_;
-  SortedCandidateOrderInto(candidate_probs, keyed_scratch_, order);
+  SortedCandidateOrderInto(candidate_probs, static_cast<size_t>(config_.max_replicas),
+                           top_scratch_);
 
   ReplicaPlan plan;
   std::vector<double>& chosen_probs = chosen_scratch_;
   chosen_probs.clear();
-  for (int index : order) {
-    if (plan.replicas() >= config_.max_replicas) {
-      break;
-    }
-    double p = candidate_probs[static_cast<size_t>(index)] * config_.confidence_discount;
-    p = std::clamp(p, 0.0, 1.0);
+  for (const auto& [prob, index] : top_scratch_) {
+    const double p = std::clamp(prob * config_.confidence_discount, 0.0, 1.0);
     if (p <= 0.0) {
       break;  // Sorted order: everything after is zero too.
     }
@@ -87,20 +83,19 @@ ReplicaPlan ReplicationPlanner::PlanWithFactor(std::span<const double> candidate
                                                int needed, double overbooking_factor) const {
   PAD_CHECK(needed >= 1);
   PAD_CHECK(overbooking_factor > 0.0);
-  std::vector<int>& order = order_scratch_;
-  SortedCandidateOrderInto(candidate_probs, keyed_scratch_, order);
+  SortedCandidateOrderInto(candidate_probs, static_cast<size_t>(config_.max_replicas),
+                           top_scratch_);
   const double target_mass = overbooking_factor * static_cast<double>(needed);
 
   ReplicaPlan plan;
   std::vector<double>& chosen_probs = chosen_scratch_;
   chosen_probs.clear();
   double mass = 0.0;
-  for (int index : order) {
-    if (plan.replicas() >= config_.max_replicas || mass >= target_mass) {
+  for (const auto& [prob, index] : top_scratch_) {
+    if (mass >= target_mass) {
       break;
     }
-    double p = candidate_probs[static_cast<size_t>(index)] * config_.confidence_discount;
-    p = std::clamp(p, 0.0, 1.0);
+    const double p = std::clamp(prob * config_.confidence_discount, 0.0, 1.0);
     if (p <= 0.0) {
       break;
     }

@@ -58,7 +58,9 @@ class ReplicationPlanner {
   explicit ReplicationPlanner(PlannerConfig config);
 
   // Candidates' display-by-deadline probabilities. Both policies pick
-  // greedily in descending probability; `needed` >= 1.
+  // greedily in descending probability (index ascending among ties) and
+  // consider only the first max_replicas candidates of that order;
+  // `needed` >= 1.
   ReplicaPlan PlanToTarget(std::span<const double> candidate_probs, int needed) const;
   ReplicaPlan PlanWithFactor(std::span<const double> candidate_probs, int needed,
                              double overbooking_factor) const;
@@ -69,11 +71,11 @@ class ReplicationPlanner {
   double Tail(std::span<const double> probs, int k) const;
 
   PlannerConfig config_;
-  // Per-call scratch (candidate order, discounted chosen probabilities),
-  // reused across plans so the per-impression hot path stops allocating.
-  // Makes a planner single-threaded; each market/server owns its own.
-  mutable std::vector<int> order_scratch_;
-  mutable std::vector<std::pair<double, int>> keyed_scratch_;
+  // Per-call scratch (the top max_replicas candidates as (probability,
+  // index), discounted chosen probabilities), reused across plans so the
+  // per-impression hot path stops allocating. Makes a planner
+  // single-threaded; each market/server owns its own.
+  mutable std::vector<std::pair<double, int>> top_scratch_;
   mutable std::vector<double> chosen_scratch_;
 };
 

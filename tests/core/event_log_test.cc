@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "src/common/csv.h"
 #include "src/common/units.h"
 #include "src/core/pad_simulation.h"
+#include "src/core/sweep.h"
 
 namespace pad {
 namespace {
@@ -69,6 +74,93 @@ TEST(EventLogTest, PerCampaignOutcomes) {
   EXPECT_DOUBLE_EQ(outcomes.at(100).revenue, 0.002);
   EXPECT_EQ(outcomes.at(200).sold, 1);
   EXPECT_DOUBLE_EQ(outcomes.at(200).FillRate(), 0.0);
+}
+
+// FNV-1a written out independently of EventLog: per event, the 8
+// little-endian bytes of time, type, impression_id, campaign_id, client_id
+// sign-extended to 64 bits, and value, in that order.
+uint64_t ReferenceDigest(std::span<const SimEvent> events) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto fold = [&hash](uint64_t bits) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash = (hash ^ ((bits >> (8 * byte)) & 0xffull)) * 0x100000001b3ull;
+    }
+  };
+  for (const SimEvent& event : events) {
+    fold(std::bit_cast<uint64_t>(event.time));
+    fold(static_cast<uint64_t>(event.type));
+    fold(static_cast<uint64_t>(event.impression_id));
+    fold(static_cast<uint64_t>(event.campaign_id));
+    fold(static_cast<uint64_t>(int64_t{event.client_id}));
+    fold(std::bit_cast<uint64_t>(event.value));
+  }
+  return hash;
+}
+
+// Feeds every hook, with negative client ids (market events carry -1, and
+// a fault may carry any int), negative zero and a negative impression id.
+void FeedEveryHook(EventLog& log) {
+  log.OnSale(10.0, 1, 100, 0.002);
+  log.OnDispatch(10.0, 1, 100, 7, /*rescue=*/false);
+  log.OnDispatch(11.0, 1, 100, 8, /*rescue=*/true);
+  log.OnBilledDisplay(20.0, 1, 100, 0.002);
+  log.OnExcessDisplay(25.0, 1);
+  log.OnViolation(30.0, -2, 100, -0.0);
+  log.OnFault(31.5, SimEventType::kReportDrop, 3);
+  log.OnFault(32.0, SimEventType::kFetchFailure, -5);
+  log.OnFault(33.0, SimEventType::kSyncMiss, 0);
+  log.OnFault(34.0, SimEventType::kOfflineEpoch, 2147483647);
+}
+
+TEST(EventLogTest, DigestOnlyLogMatchesRetainingLogAndReferenceFold) {
+  EventLog retaining;
+  EventLog digest_only = EventLog::DigestOnly();
+  const uint64_t empty = retaining.Digest();
+  EXPECT_EQ(empty, ReferenceDigest({}));
+  EXPECT_EQ(digest_only.Digest(), empty);
+
+  FeedEveryHook(retaining);
+  FeedEveryHook(digest_only);
+  ASSERT_EQ(retaining.events().size(), 10u);
+  EXPECT_TRUE(digest_only.events().empty());
+  EXPECT_NE(retaining.Digest(), empty);
+  EXPECT_EQ(retaining.Digest(), ReferenceDigest(retaining.events()));
+  EXPECT_EQ(digest_only.Digest(), retaining.Digest());
+  for (int t = 0; t < kNumSimEventTypes; ++t) {
+    const SimEventType type = static_cast<SimEventType>(t);
+    EXPECT_EQ(digest_only.CountOf(type), retaining.CountOf(type)) << SimEventTypeName(type);
+  }
+
+  // A zero-extended client id would hash differently: the fold pins the
+  // sign extension.
+  std::vector<SimEvent> zero_extended(retaining.events().begin(), retaining.events().end());
+  EXPECT_EQ(zero_extended.front().client_id, -1);
+  zero_extended.front().client_id = 0;
+  EXPECT_NE(ReferenceDigest(zero_extended), retaining.Digest());
+}
+
+TEST(EventLogIntegrationTest, DigestOnlyLogMatchesRetainingLogOverARun) {
+  PadConfig config = QuickConfig();
+  config.population.num_users = 40;
+  config.faults.report_drop_rate = 0.05;
+  config.faults.fetch_failure_rate = 0.05;
+  config.faults.offline_rate = 0.05;
+  const SimInputs inputs = GenerateInputs(config);
+  EventLog retaining;
+  EventLog digest_only = EventLog::DigestOnly();
+  const PadRunResult with_events = RunPad(config, inputs, &retaining);
+  const PadRunResult digest_run = RunPad(config, inputs, &digest_only);
+
+  EXPECT_EQ(MetricsDigest(digest_run), MetricsDigest(with_events));
+  EXPECT_GT(retaining.events().size(), 1000u);
+  EXPECT_TRUE(digest_only.events().empty());
+  EXPECT_EQ(retaining.Digest(), ReferenceDigest(retaining.events()));
+  EXPECT_EQ(digest_only.Digest(), retaining.Digest());
+  for (int t = 0; t < kNumSimEventTypes; ++t) {
+    const SimEventType type = static_cast<SimEventType>(t);
+    EXPECT_EQ(digest_only.CountOf(type), retaining.CountOf(type)) << SimEventTypeName(type);
+  }
+  EXPECT_GT(retaining.CountOf(SimEventType::kFetchFailure), 0);
 }
 
 TEST(EventLogIntegrationTest, LogAgreesWithLedgerTotals) {

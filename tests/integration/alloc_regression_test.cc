@@ -116,5 +116,41 @@ TEST(AllocRegressionTest, BaselineKernelAllocationsPerUserUnderBudget) {
   EXPECT_LE((after - before) / 40, kMaxBaselineAllocsPerUser);
 }
 
+// The shard engine hashes each market's event stream through a digest-only
+// log; recording into it must never touch the heap, however long the run.
+TEST(AllocRegressionTest, DigestOnlyEventLogRecordsWithoutAllocating) {
+  constexpr int kEvents = 100000;
+  EventLog log = EventLog::DigestOnly();
+  const int64_t before = g_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < kEvents; ++i) {
+    const double t = 0.5 * i;
+    switch (i % 5) {
+      case 0:
+        log.OnSale(t, i, 100, 0.002);
+        break;
+      case 1:
+        log.OnDispatch(t, i, 100, i % 40, /*rescue=*/i % 3 == 0);
+        break;
+      case 2:
+        log.OnBilledDisplay(t, i, 100, 0.002);
+        break;
+      case 3:
+        log.OnExcessDisplay(t, i);
+        break;
+      default:
+        log.OnFault(t, SimEventType::kFetchFailure, i % 40);
+        break;
+    }
+  }
+  const int64_t after = g_news.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0);
+  int64_t recorded = 0;
+  for (int t = 0; t < kNumSimEventTypes; ++t) {
+    recorded += log.CountOf(static_cast<SimEventType>(t));
+  }
+  EXPECT_EQ(recorded, kEvents);
+  EXPECT_TRUE(log.events().empty());
+}
+
 }  // namespace
 }  // namespace pad

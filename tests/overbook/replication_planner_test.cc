@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -141,6 +146,98 @@ TEST(PlannerTest, ExactAndApproxAgreeRoughly) {
   const int exact_replicas = exact.PlanToTarget(probs, 4).replicas();
   const int approx_replicas = approx.PlanToTarget(probs, 4).replicas();
   EXPECT_NEAR(exact_replicas, approx_replicas, 2);
+}
+
+// The planners as specified: stable-sort every candidate by descending
+// probability (index ascending among ties), then walk that order greedily.
+// `overbooking_factor` <= 0 selects PlanToTarget.
+ReplicaPlan ReferencePlan(const PlannerConfig& config, std::span<const double> probs,
+                          int needed, double overbooking_factor) {
+  std::vector<int> order(probs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return probs[static_cast<size_t>(a)] > probs[static_cast<size_t>(b)];
+  });
+  const auto tail = [&config](std::span<const double> chosen, int k) {
+    return config.exact_tail ? PoissonBinomialTailGeq(chosen, k)
+                             : PoissonBinomialTailGeqNormal(chosen, k);
+  };
+  const bool fixed_factor = overbooking_factor > 0.0;
+  const double target_mass = overbooking_factor * static_cast<double>(needed);
+  ReplicaPlan plan;
+  std::vector<double> chosen;
+  double mass = 0.0;
+  for (int index : order) {
+    if (plan.replicas() >= config.max_replicas || (fixed_factor && mass >= target_mass)) {
+      break;
+    }
+    const double p = std::clamp(probs[static_cast<size_t>(index)] * config.confidence_discount,
+                                0.0, 1.0);
+    if (p <= 0.0) {
+      break;
+    }
+    plan.chosen.push_back(index);
+    chosen.push_back(p);
+    mass += p;
+    if (!fixed_factor) {
+      plan.success_probability = tail(chosen, needed);
+      if (plan.success_probability >= config.sla_target) {
+        break;
+      }
+    }
+  }
+  if (fixed_factor) {
+    plan.success_probability = tail(chosen, needed);
+  }
+  plan.expected_excess =
+      std::max(0.0, PoissonBinomialMean(chosen) - static_cast<double>(needed));
+  return plan;
+}
+
+// Candidate probabilities dense in exact ties, zeros of both signs, and the
+// ends of [0, 1], with some uniform draws in between.
+std::vector<double> TieHeavyCandidates(Rng& rng) {
+  static constexpr double kPool[] = {0.0, -0.0, 0.05, 0.3, 0.5, 0.75, 0.95, 1.0};
+  std::vector<double> probs(static_cast<size_t>(rng.UniformInt(0, 64)));
+  for (double& p : probs) {
+    p = rng.Bernoulli(0.7) ? kPool[rng.UniformInt(0, std::size(kPool) - 1)] : rng.NextDouble();
+  }
+  return probs;
+}
+
+// The planners rank only the first max_replicas candidates; every plan must
+// still equal, bit for bit, the plan built from the fully sorted order.
+TEST(PlannerTest, TopKMatchesFullStableSortReference) {
+  Rng rng(20130415);
+  int64_t plans = 0;
+  int64_t deep_plans = 0;  // Plans that used more than two replicas.
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::vector<double> probs = TieHeavyCandidates(rng);
+    const int needed = trial % 3 == 0 ? 2 : 1;
+    for (const int max_replicas : {1, 2, 3, 8, 64}) {
+      const PlannerConfig config = Config(trial % 2 == 0 ? 0.99 : 0.999, max_replicas,
+                                          /*exact=*/trial % 5 != 0,
+                                          /*discount=*/trial % 4 == 0 ? 0.8 : 1.0);
+      const ReplicationPlanner planner(config);
+      for (const double factor : {-1.0, 1.5}) {
+        SCOPED_TRACE(testing::Message() << "trial=" << trial << " n=" << probs.size()
+                                        << " max_replicas=" << max_replicas
+                                        << " factor=" << factor);
+        const ReplicaPlan got = factor > 0.0 ? planner.PlanWithFactor(probs, needed, factor)
+                                             : planner.PlanToTarget(probs, needed);
+        const ReplicaPlan want = ReferencePlan(config, probs, needed, factor);
+        EXPECT_EQ(got.chosen, want.chosen);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.success_probability),
+                  std::bit_cast<uint64_t>(want.success_probability));
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.expected_excess),
+                  std::bit_cast<uint64_t>(want.expected_excess));
+        ++plans;
+        deep_plans += got.replicas() > 2 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(plans, 400 * 5 * 2);
+  EXPECT_GT(deep_plans, 100);  // The sweep reaches past the default prefix.
 }
 
 TEST(PlannerDeathTest, InvalidConfigAborts) {
