@@ -10,11 +10,15 @@
 namespace pad {
 namespace {
 
+// gtest names each case by the raw bytes of its parameter, so the struct must
+// have no padding: uninitialised padding bytes made the case names differ from
+// one build to the next.
 struct LedgerFuzzCase {
   uint64_t seed;
-  int operations;
+  int64_t operations;
   double deadline_s;
 };
+static_assert(sizeof(LedgerFuzzCase) == 24, "LedgerFuzzCase must not have padding");
 
 class LedgerFuzzTest : public ::testing::TestWithParam<LedgerFuzzCase> {};
 
