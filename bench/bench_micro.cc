@@ -11,7 +11,6 @@
 #include "src/overbook/poisson_binomial.h"
 #include "src/overbook/replication_planner.h"
 #include "src/radio/machine.h"
-#include "src/sim/simulator.h"
 #include "src/trace/generator.h"
 
 namespace pad {
@@ -45,18 +44,6 @@ void BM_RadioMachineSubmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RadioMachineSubmit);
-
-void BM_SimulatorScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(static_cast<double>(i % 100), [] {});
-    }
-    sim.RunAll();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorScheduleRun);
 
 void BM_PoissonBinomialTail(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

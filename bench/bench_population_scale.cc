@@ -10,7 +10,8 @@
 // E17 — Population scale ceiling: `--scale_users N` switches to the
 // streaming sharded engine (src/core/shard_engine.h) and runs one paired
 // comparison at N users under a resident-memory budget, reporting wall-clock
-// throughput (users/s) and peak RSS. This is the mode that produces the
+// throughput (users/s) and peak RSS; `--threads N` sets the engine's worker
+// lanes. This is the mode that produces the
 // checked-in BENCH_population_scale.json baseline:
 //
 //   $ bench_population_scale --scale_users 1000000 --market_users 2000 \
@@ -59,8 +60,6 @@ void RunPopulationEffect(const SweepOptions& sweep, bench::BenchJson& json) {
 struct ScaleOptions {
   int64_t users = 0;
   int64_t market_users = 2000;
-  int shards = 1;
-  int threads = 1;
   int64_t max_resident_users = 20000;
   double days = 9.0;  // 7 warmup + 2 scored keeps 1M users tractable.
   // --checkpoint_overhead: repeat the run with the crash-recovery journal
@@ -80,9 +79,6 @@ ScaleOptions ScaleOptionsFromArgv(int argc, char** argv) {
     int_flag("--scale_users", &options.users, i);
     int_flag("--market_users", &options.market_users, i);
     int_flag("--max_resident_users", &options.max_resident_users, i);
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      options.shards = std::atoi(argv[i + 1]);
-    }
     if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
       options.days = std::atof(argv[i + 1]);
     }
@@ -101,7 +97,6 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
   // Demand scales per market inside the engine; pin the population-wide rate
   // the same way StandardConfig does.
   ShardEngineOptions options;
-  options.shards = scale.shards;
   options.threads = sweep.threads;
   options.max_resident_users = scale.max_resident_users;
   options.event_digests = false;

@@ -76,7 +76,6 @@ struct ScheduleRun {
 ScheduleRun RunSchedule(const PadConfig& config, const SkewBenchCase& bench_case,
                         ScheduleMode schedule) {
   ShardEngineOptions options;
-  options.shards = bench_case.workers;
   options.threads = bench_case.workers;
   options.schedule = schedule;
   options.event_digests = false;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace pad {
@@ -132,6 +133,13 @@ double Options::GetDouble(const std::string& key, double fallback) const {
 
 int Options::GetInt(const std::string& key, int fallback) const {
   const double value = GetDouble(key, static_cast<double>(fallback));
+  // Casting a double outside int's range is undefined behaviour, so check
+  // the range first; NaN fails both comparisons and lands here too.
+  if (!(value >= static_cast<double>(std::numeric_limits<int>::min()) &&
+        value <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    RecordError(key, "is out of range");
+    return fallback;
+  }
   const int as_int = static_cast<int>(value);
   if (static_cast<double>(as_int) != value) {
     RecordError(key, "is not an integer");

@@ -24,13 +24,6 @@ inline double LogGamma(double x) {
 inline double LogGamma(double x) { return std::lgamma(x); }
 #endif
 
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {

@@ -16,6 +16,16 @@
 
 namespace pad {
 
+// SplitMix64 (Steele, Lea & Flood): advances `state` and returns the next
+// well-mixed value. The one definition behind Rng seeding, per-market and
+// per-replica seeds, and the task scheduler's steal-scan order.
+inline uint64_t SplitMix64(uint64_t& state) {
+  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 // xoshiro256++ 1.0 by Blackman & Vigna (public domain reference
 // implementation), seeded through SplitMix64 so that small consecutive seeds
 // produce well-decorrelated streams.

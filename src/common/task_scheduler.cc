@@ -1,21 +1,16 @@
 #include "src/common/task_scheduler.h"
 
+#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 
 namespace pad {
 namespace {
-
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // One worker's deque plus its mutex, padded to a cache line so a steal on
 // one deque never false-shares with the owner's pops on a neighbor.
@@ -119,6 +114,14 @@ class SchedulerState {
 };
 
 }  // namespace
+
+int ResolveWorkers(int requested, int64_t jobs) {
+  const int64_t asked =
+      requested > 0 ? requested : static_cast<int>(std::thread::hardware_concurrency());
+  // hardware_concurrency() may report 0 (unknown), and zero jobs still need
+  // one worker to find the queue empty.
+  return static_cast<int>(std::max<int64_t>(1, std::min(asked, jobs)));
+}
 
 std::vector<std::deque<int64_t>> PartitionTasks(int64_t n, int workers) {
   PAD_CHECK(n >= 0 && workers >= 1);

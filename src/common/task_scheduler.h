@@ -1,10 +1,9 @@
-// Work-stealing task scheduler for coarse, independent, pre-partitioned jobs.
-//
-// The ThreadPool (thread_pool.h) hands indices out of one shared cursor,
-// which balances perfectly but destroys locality: a worker that must walk a
-// sequential input stream (the shard engine's PopulationStream) wants to run
-// *its own contiguous run* of tasks in order and only take someone else's
-// work when it would otherwise idle. This scheduler models exactly that:
+// Work-stealing task scheduler for coarse, independent, pre-partitioned jobs:
+// the one executor every fan-out runs on — the shard engine's markets, the
+// sweep engine's runs (src/core/sweep.h), and a comparison's baseline ∥ PAD
+// pair. A worker that walks a sequential input stream (the shard engine's
+// PopulationStream) wants to run *its own contiguous run* of tasks in order
+// and only take someone else's work when it would otherwise idle:
 //
 //   * Each worker owns a deque seeded with its initial task run. The owner
 //     pops from the FRONT, preserving the sequential order the caller built
@@ -15,16 +14,17 @@
 //     pseudo-random order derived from (steal_seed, worker), which varies
 //     the interleaving across runs without any shared RNG.
 //   * Steal paths are mutex-sharded: one mutex per worker deque, held only
-//     for a pop. Tasks are coarse (whole simulated markets, milliseconds to
-//     minutes each), so queue synchronization is noise; the win is that no
-//     worker sits idle while another holds a long tail of work.
+//     for a pop. Tasks are coarse (whole simulated markets or runs,
+//     milliseconds to minutes each), so queue synchronization is noise; the
+//     win is that no worker sits idle while another holds a long tail of
+//     work.
 //
 // Determinism: the scheduler never owns randomness that a task can observe
 // and never aggregates results — the caller slots outputs by task index.
 // Which worker runs which task (and in what interleaving) is explicitly
-// unspecified; callers must make tasks hermetic, exactly as for ThreadPool.
-// The shard engine's digest merge is order-independent, which is what makes
-// stealing safe there (see src/core/shard_engine.h).
+// unspecified; callers must make tasks hermetic. Each job writing only its
+// own result slot is what makes stealing safe for the shard engine's digest
+// merge and the sweep engine's result vectors alike.
 //
 // No task is ever added after Run starts, so a worker that finds every deque
 // empty can retire: all remaining tasks are already claimed and executing.
@@ -75,6 +75,10 @@ struct TaskSchedulerStats {
 TaskSchedulerStats RunTaskQueues(std::vector<std::deque<int64_t>> queues,
                                  const std::function<void(int worker, int64_t task)>& body,
                                  const TaskSchedulerOptions& options = {});
+
+// The worker-count rule every fan-out shares: `requested` <= 0 asks the
+// hardware, never more workers than `jobs`, and always at least one.
+int ResolveWorkers(int requested, int64_t jobs);
 
 // Contiguous partition of tasks [0, n) into `workers` queues: worker w gets
 // [w*n/workers, (w+1)*n/workers). The shard engine uses this so each

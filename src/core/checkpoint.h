@@ -46,9 +46,9 @@ inline constexpr char kCheckpointMagic[9] = "ADPADCK1";  // 8 bytes + NUL.
 
 // FNV-1a over every semantic field of the config (population, campaigns,
 // exchange, planner, radio profiles, wifi, faults, policy scalars, seeds,
-// market_users). Execution knobs (shards, threads, residency budget) are
-// deliberately excluded: they never change results, so a journal written at
-// one shard count resumes at any other. Callers should fingerprint the
+// market_users). Execution knobs (threads, schedule, steal_seed, residency
+// budget, processes) are deliberately excluded: they never change results,
+// so a journal written at one worker count resumes at any other. Callers should fingerprint the
 // AlignInputsConfig'd config so pre- and post-alignment spellings of the
 // same experiment match.
 uint64_t ConfigFingerprint(const PadConfig& config);

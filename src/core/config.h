@@ -105,7 +105,7 @@ struct PadConfig {
   // scaled to its population share. 0 keeps the whole population in one
   // market — exactly the monolithic RunComparison semantics. This is a
   // *modeling* knob like num_users: it changes results. The execution knobs
-  // (shards, threads, max_resident_users) never do.
+  // (threads, schedule, steal_seed, max_resident_users, processes) never do.
   int64_t market_users = 0;
 
   uint64_t seed = 1234;

@@ -34,8 +34,8 @@
 // Because the main journal ends up holding every completed market in the
 // PR-4 format, runs are resumable ACROSS engines: a single-process run can
 // resume a multi-process journal and vice versa, at any {processes,
-// threads, shards, residency, schedule, steal_seed} — the fingerprint
-// covers only semantic config, never execution knobs.
+// threads, residency, schedule, steal_seed} — the fingerprint covers only
+// semantic config, never execution knobs.
 //
 // Determinism: workers execute the same SimulateMarket the in-process lanes
 // do, and the coordinator folds records with the same FoldMarketRecords in

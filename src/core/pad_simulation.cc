@@ -171,14 +171,12 @@ struct ClientFeed {
   uint32_t next = 0;
 };
 
-// One pending client event in the run queue. The general Simulator breaks
-// time ties by schedule order (seq); the specialized queue reproduces that
-// exactly: epoch events own seqs [0, num_epochs), initial feed events take
-// the next seqs in client order, and each executed feed event assigns its
-// successor the next global seq — the same assignment the recursive
-// ScheduleNextFeedEvent chain produced, so the pop order (and therefore
-// every digest) is byte-identical to the std::function-based event loop it
-// replaces.
+// One pending client event in the run queue. Events run in (time, seq)
+// order, and seq breaks time ties by scheduling order: epoch boundaries own
+// seqs [0, num_epochs), so an epoch runs before any client event at the same
+// instant; each client's first event takes the next seqs in client order;
+// and each executed feed event gives its successor the next global seq. That
+// order is part of every digest.
 struct PendingEvent {
   double time = 0.0;
   uint64_t seq = 0;

@@ -13,8 +13,8 @@
 
 #include "src/apps/app_profile.h"
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/common/task_scheduler.h"
-#include "src/common/thread_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/event_log.h"
 #include "src/core/pad_simulation.h"
@@ -23,13 +23,6 @@
 
 namespace pad {
 namespace {
-
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // Counting admission gate over resident users. A lane acquires its next
 // market's population before generating it and releases after the market's
@@ -99,16 +92,6 @@ double ThreadCpuSeconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// Worker count: shards and threads are aliases for the same resource (the
-// scheduler gives every worker its own deque AND its own thread), so take
-// the stronger ask; 0 in either means "the hardware". Never more workers
-// than markets.
-int ResolveWorkers(const ShardEngineOptions& options, int num_markets) {
-  const int shards = options.shards <= 0 ? ThreadPool::HardwareThreads() : options.shards;
-  const int threads = options.threads <= 0 ? ThreadPool::HardwareThreads() : options.threads;
-  return std::max(1, std::min(num_markets, std::max(shards, threads)));
 }
 
 // Per-lane progress slot the watchdog thread polls: which market the lane is
@@ -223,8 +206,8 @@ std::string ValidateShardOptions(const PadConfig& config, const ShardEngineOptio
   if (const std::string error = ValidateConfig(config); !error.empty()) {
     return error;
   }
-  if (options.shards < 0 || options.threads < 0) {
-    return "shards and threads must be non-negative (0 = hardware)";
+  if (options.threads < 0) {
+    return "threads must be non-negative (0 = hardware)";
   }
   if (options.max_resident_users < 0) {
     return "max_resident_users must be non-negative (0 = unlimited)";
@@ -258,11 +241,11 @@ StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
   const std::vector<int64_t> boundaries = MarketBoundaries(num_users, aligned.market_users);
   const int num_markets = static_cast<int>(boundaries.size()) - 1;
 
-  const int lanes = ResolveWorkers(options, num_markets);
+  const int lanes = ResolveWorkers(options.threads, num_markets);
 
   // Per-market result slots: restored from the journal or filled by a lane.
   // Slot m holds a finished market iff its .market == m (plain bytes written
-  // by at most one thread each, read after the pool joins).
+  // by at most one thread each, read after the scheduler joins).
   std::vector<MarketRecord> results(static_cast<size_t>(num_markets));
   int resumed = 0;
 

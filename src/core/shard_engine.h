@@ -21,7 +21,7 @@
 //     population: byte-identical to RunComparison, which the shard
 //     equivalence test enforces.
 //
-//   * ShardEngineOptions (shards, threads, schedule, steal_seed,
+//   * ShardEngineOptions (threads, schedule, steal_seed,
 //     max_resident_users) are EXECUTION-ONLY. For a fixed config, every
 //     metric and event-log digest is byte-identical for any worker count,
 //     schedule (static or work-stealing), steal seed, and residency budget —
@@ -38,7 +38,7 @@
 // (CRC-framed, fsync'd), and a resumed run skips journaled markets — via
 // PopulationStream's skip, which is bit-identical to generating — so the
 // merged totals and digests match an uninterrupted run byte for byte, at any
-// shard/thread/residency setting on either side of the crash.
+// thread/schedule/residency setting on either side of the crash.
 //
 // tests/integration/shard_equivalence_test.cc enforces the execution-knob
 // half; tests/integration/crash_recovery_test.cc the crash half.
@@ -76,10 +76,8 @@ enum class ScheduleMode {
 
 struct ShardEngineOptions {
   // Worker lanes, each an OS thread owning a deque of markets and its own
-  // PopulationStream. `shards` and `threads` are historical aliases for the
-  // same resource and the engine runs max(shards, threads) workers (capped
-  // at the market count); 0 in either asks the hardware.
-  int shards = 1;
+  // PopulationStream, resolved by ResolveWorkers (src/common/task_scheduler.h):
+  // 0 asks the hardware, and there are never more lanes than markets.
   int threads = 1;
   // Market hand-off policy. Execution-only, like every knob below: results
   // are byte-identical under either schedule.

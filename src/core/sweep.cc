@@ -1,9 +1,11 @@
 #include "src/core/sweep.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
+#include "src/common/rng.h"
+#include "src/common/task_scheduler.h"
 
 namespace pad {
 namespace {
@@ -76,21 +78,21 @@ class Digest {
   uint64_t hash_ = kFnvOffset;
 };
 
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
+// Both fan-outs run on the work-stealing scheduler, one task per job. Each
+// task runs the job a shared cursor hands out next, so jobs start in
+// submission order, as a sweep wants when cost trends with the index (E7's
+// capacity-confidence runs get cheaper as it rises). Job i writes only slot
+// i of the results, so which worker runs it is invisible.
 std::vector<Comparison> RunComparisonMany(std::span<const PadConfig> configs,
                                           const SweepOptions& options) {
   std::vector<Comparison> results(configs.size());
-  ThreadPool pool(options.threads);
-  pool.ParallelFor(static_cast<int64_t>(configs.size()), [&](int64_t i) {
-    results[static_cast<size_t>(i)] = RunComparison(configs[static_cast<size_t>(i)]);
+  const int64_t jobs = static_cast<int64_t>(configs.size());
+  std::atomic<size_t> next_job{0};
+  RunTaskQueues(PartitionTasks(jobs, ResolveWorkers(options.threads, jobs)), [&](int, int64_t) {
+    const size_t job = next_job.fetch_add(1);
+    results[job] = RunComparison(configs[job]);
   });
   return results;
 }
@@ -102,9 +104,10 @@ std::vector<PadRunResult> RunPadMany(std::span<const PadConfig> configs,
   if (event_logs != nullptr) {
     event_logs->assign(configs.size(), EventLog());
   }
-  ThreadPool pool(options.threads);
-  pool.ParallelFor(static_cast<int64_t>(configs.size()), [&](int64_t i) {
-    const size_t job = static_cast<size_t>(i);
+  const int64_t jobs = static_cast<int64_t>(configs.size());
+  std::atomic<size_t> next_job{0};
+  RunTaskQueues(PartitionTasks(jobs, ResolveWorkers(options.threads, jobs)), [&](int, int64_t) {
+    const size_t job = next_job.fetch_add(1);
     EventLog* log = event_logs != nullptr ? &(*event_logs)[job] : nullptr;
     results[job] = RunPad(configs[job], inputs, log);
   });

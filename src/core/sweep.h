@@ -1,19 +1,22 @@
-// Parallel sweep engine: fans independent simulation runs out across a
-// ThreadPool and returns results in submission order.
+// Parallel sweep engine: fans independent simulation runs out across the
+// work-stealing task scheduler (src/common/task_scheduler.h) and returns
+// results in submission order.
 //
 // Determinism contract: for a fixed config list, every result (metrics,
 // ledger totals, event-log digest) is bit-identical regardless of the thread
 // count or the schedule. Two properties make this hold:
-//   * every job is hermetic — each run builds its own Simulator, Exchange,
-//     clients, predictors, and RNG streams from the job's config seeds, and
-//     shared SimInputs are read-only on the run path;
-//   * results are slotted by submission index, never by completion order.
+//   * every job is hermetic — each run builds its own run queue, Exchange,
+//     server, clients, predictors, and RNG streams from the job's config
+//     seeds, and shared SimInputs are read-only on the run path;
+//   * results are slotted by submission index, never by completion order,
+//     whichever worker runs (or steals) a job.
 // tests/integration/parallel_determinism_test.cc enforces the contract.
 //
-// Parallelism is applied at sweep granularity (one job = one whole run), not
-// by sharding a single population across threads: overbooking pools risk
-// across the entire population (E10), so a sharded run would change which
-// replica candidates a dispatch sees and with it the simulated semantics.
+// Parallelism here is at sweep granularity: one job is one whole run. Within
+// a run, overbooking pools risk across every client of the run's server
+// (E10), so splitting a population is a semantic choice, not an execution
+// one — PadConfig::market_users makes it, and the shard engine
+// (shard_engine.h) runs the resulting markets on the same scheduler.
 #ifndef ADPAD_SRC_CORE_SWEEP_H_
 #define ADPAD_SRC_CORE_SWEEP_H_
 
@@ -29,8 +32,9 @@
 namespace pad {
 
 struct SweepOptions {
-  // Total concurrency of the fan-out (the calling thread participates).
-  // 1 runs everything inline with no threads created; 0 asks the hardware.
+  // Workers of the fan-out, resolved by ResolveWorkers (the calling thread is
+  // worker 0). 1 runs everything inline, in order, with no threads created;
+  // 0 asks the hardware; never more workers than jobs.
   int threads = 1;
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace pad {
 namespace {
 
@@ -107,6 +111,24 @@ TEST(OptionsTest, TypeMismatchRecordsErrorInsteadOfAborting) {
   EXPECT_EQ(0, options->GetInt("f", 0));       // 1.5 is not an integer.
   EXPECT_FALSE(options->GetBool("n", false));  // "abc" is not a boolean.
   EXPECT_NE(options->error().find("'n'"), std::string::npos);
+}
+
+TEST(OptionsTest, OutOfRangeIntegersFailBeforeTheCast) {
+  // Each value would otherwise reach a double-to-int cast outside int's
+  // range, which is undefined behaviour; NaN fails the range check too.
+  for (const std::string value : {"1e10", "-1e10", "nan", "inf"}) {
+    const auto options = ParseArgs({"users=" + value});
+    ASSERT_TRUE(options.has_value());
+    EXPECT_EQ(42, options->GetInt("users", 42)) << value;
+    EXPECT_NE(options->error().find("option 'users' is out of range"), std::string::npos)
+        << value << ": " << options->error();
+  }
+  // int's own extremes still read back exactly.
+  const auto edges = ParseArgs({"hi=2147483647", "lo=-2147483648"});
+  ASSERT_TRUE(edges.has_value());
+  EXPECT_EQ(std::numeric_limits<int>::max(), edges->GetInt("hi", 0));
+  EXPECT_EQ(std::numeric_limits<int>::min(), edges->GetInt("lo", 0));
+  EXPECT_TRUE(edges->error().empty());
 }
 
 TEST(OptionsTest, WellTypedReadsLeaveErrorEmpty) {

@@ -1,5 +1,6 @@
 #include "src/common/task_scheduler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -69,6 +70,25 @@ TEST(PartitionTasksTest, QueueSizesDifferByAtMostOne) {
     largest = std::max<int64_t>(largest, queue.size());
   }
   EXPECT_LE(largest - smallest, 1);
+}
+
+// The one worker-count rule every fan-out shares (sweeps, the shard engine,
+// adpad_sim's baseline ∥ PAD pair).
+TEST(TaskSchedulerTest, ResolveWorkersAsksHardwareCapsAtJobsFloorsAtOne) {
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  for (const int requested : {0, -1, -8}) {
+    // <= 0 asks the hardware; the answer is never below one worker.
+    EXPECT_EQ(std::max(1, std::min(hardware, 1000)), ResolveWorkers(requested, 1000))
+        << "requested=" << requested;
+  }
+  EXPECT_EQ(1, ResolveWorkers(1, 100));
+  EXPECT_EQ(4, ResolveWorkers(4, 100));
+  // Never more workers than jobs...
+  EXPECT_EQ(3, ResolveWorkers(8, 3));
+  EXPECT_EQ(1, ResolveWorkers(0, 1));
+  // ...but an empty batch still gets one worker to find it empty.
+  EXPECT_EQ(1, ResolveWorkers(4, 0));
+  EXPECT_EQ(1, ResolveWorkers(0, 0));
 }
 
 TEST(TaskSchedulerTest, EveryTaskRunsExactlyOnceAcrossShapes) {

@@ -1,4 +1,6 @@
-// Unit tests for the ThreadPool and the parallel sweep engine.
+// Unit tests for the parallel sweep engine, which fans runs out on the
+// work-stealing task scheduler (the scheduler itself is unit-tested in
+// tests/common/task_scheduler_test.cc).
 //
 // The serial-vs-parallel *equivalence* guarantee is exercised here at unit
 // scale (a handful of tiny runs) and at system scale in
@@ -7,11 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace pad {
@@ -24,73 +23,42 @@ PadConfig TinyConfig(int num_users) {
   return config;
 }
 
-TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
+// `jobs` tiny comparisons that differ only in their seeds.
+std::vector<PadConfig> SeededConfigs(int jobs) {
+  std::vector<PadConfig> configs;
+  for (int job = 0; job < jobs; ++job) {
+    PadConfig config = TinyConfig(8);
+    config.seed = static_cast<uint64_t>(job + 1);
+    config.population.seed = static_cast<uint64_t>(job + 1) * 101;
+    configs.push_back(config);
+  }
+  return configs;
 }
 
-TEST(ThreadPoolTest, ZeroThreadsAsksHardware) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), ThreadPool::HardwareThreads());
-}
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    constexpr int64_t kJobs = 100;
-    std::vector<std::atomic<int>> hits(kJobs);
-    pool.ParallelFor(kJobs, [&](int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-    for (int64_t i = 0; i < kJobs; ++i) {
-      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "threads=" << threads << " i=" << i;
-    }
+// The sweep at `threads` must equal the serial loop, digest for digest.
+void ExpectSweepMatchesSerialLoop(const std::vector<PadConfig>& configs, int threads) {
+  const std::vector<Comparison> parallel = RunComparisonMany(configs, {.threads = threads});
+  ASSERT_EQ(parallel.size(), configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(ComparisonDigest(parallel[i]), ComparisonDigest(RunComparison(configs[i])))
+        << "threads=" << threads << " i=" << i;
   }
 }
 
-TEST(ThreadPoolTest, EmptyBatchIsANoOp) {
-  ThreadPool pool(4);
-  bool ran = false;
-  pool.ParallelFor(0, [&](int64_t) { ran = true; });
-  EXPECT_FALSE(ran);
+TEST(SweepTest, EmptyConfigListRunsNothingAndReturnsNothing) {
+  EXPECT_TRUE(RunComparisonMany({}, {.threads = 4}).empty());
+  std::vector<EventLog> logs(2);
+  const SimInputs inputs = GenerateInputs(TinyConfig(4));
+  EXPECT_TRUE(RunPadMany({}, inputs, {.threads = 4}, &logs).empty());
+  EXPECT_TRUE(logs.empty());
 }
 
-TEST(ThreadPoolTest, MoreThreadsThanJobs) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&](int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
-  }
+TEST(SweepTest, MoreThreadsThanJobsMatchesSerialLoop) {
+  ExpectSweepMatchesSerialLoop(SeededConfigs(2), 8);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> total{0};
-  for (int batch = 0; batch < 10; ++batch) {
-    pool.ParallelFor(17, [&](int64_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 170);
-}
-
-TEST(ThreadPoolTest, PropagatesTheFirstException) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> completed{0};
-  EXPECT_THROW(
-      pool.ParallelFor(20,
-                       [&](int64_t i) {
-                         if (i == 7) {
-                           throw std::runtime_error("job 7 failed");
-                         }
-                         completed.fetch_add(1);
-                       }),
-      std::runtime_error);
-  // The batch still drains: every non-throwing job ran.
-  EXPECT_EQ(completed.load(), 19);
-}
-
-TEST(ThreadPoolTest, SingleThreadRunsInlineInOrder) {
-  ThreadPool pool(1);
-  std::vector<int64_t> order;
-  pool.ParallelFor(5, [&](int64_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+TEST(SweepTest, ZeroThreadsAsksHardwareAndMatchesSerialLoop) {
+  ExpectSweepMatchesSerialLoop(SeededConfigs(3), 0);
 }
 
 TEST(SweepTest, ResultsComeBackInSubmissionOrder) {
@@ -109,24 +77,7 @@ TEST(SweepTest, ResultsComeBackInSubmissionOrder) {
 }
 
 TEST(SweepTest, ParallelComparisonMatchesSerialLoop) {
-  std::vector<PadConfig> configs;
-  for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    PadConfig config = TinyConfig(8);
-    config.seed = seed;
-    config.population.seed = seed * 101;
-    configs.push_back(config);
-  }
-
-  std::vector<Comparison> serial;
-  for (const PadConfig& config : configs) {
-    serial.push_back(RunComparison(config));
-  }
-  const std::vector<Comparison> parallel = RunComparisonMany(configs, {.threads = 3});
-
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(ComparisonDigest(parallel[i]), ComparisonDigest(serial[i])) << "i=" << i;
-  }
+  ExpectSweepMatchesSerialLoop(SeededConfigs(3), 3);
 }
 
 TEST(SweepTest, SharedInputRunsMatchSerialIncludingEventLogs) {

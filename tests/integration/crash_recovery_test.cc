@@ -91,7 +91,6 @@ std::vector<size_t> FrameBoundaries(const std::string& bytes) {
 
 ShardEngineOptions BaseOptions() {
   ShardEngineOptions options;
-  options.shards = 1;
   options.threads = 1;
   options.event_digests = true;
   return options;
@@ -145,9 +144,7 @@ void CheckTruncateResumeByteIdentity(const PadConfig& config, const std::string&
   // journal must be portable across them.
   const std::vector<ShardEngineOptions> resume_variants = [&] {
     std::vector<ShardEngineOptions> variants(3, BaseOptions());
-    variants[1].shards = 4;
     variants[1].threads = 4;
-    variants[2].shards = 2;
     variants[2].threads = 2;
     variants[2].max_resident_users = 60;
     return variants;
@@ -156,7 +153,7 @@ void CheckTruncateResumeByteIdentity(const PadConfig& config, const std::string&
     const size_t cut = cuts[i];
     const ShardEngineOptions& variant = resume_variants[i % resume_variants.size()];
     SCOPED_TRACE(tag + ": cut at byte " + std::to_string(cut) +
-                 ", shards=" + std::to_string(variant.shards));
+                 ", threads=" + std::to_string(variant.threads));
     WriteFileBytes(cut_path, bytes.substr(0, cut));
     ShardEngineOptions resume_options = variant;
     resume_options.checkpoint_path = cut_path;
@@ -213,7 +210,6 @@ TEST(CrashRecoveryTest, SigkillMidRunThenResumeMatchesGolden) {
     // Resume in-process (a fresh journal if the child died before creating
     // one) and expect the golden, bit for bit.
     ShardEngineOptions resume_options = BaseOptions();
-    resume_options.shards = 2;
     resume_options.threads = 2;
     resume_options.checkpoint_path = path;
     ExpectSameResult(golden, MustRun(config, resume_options));
@@ -265,7 +261,6 @@ PadConfig SkewedConfig() {
 
 ShardEngineOptions StealingOptions(int workers) {
   ShardEngineOptions options = BaseOptions();
-  options.shards = workers;
   options.threads = workers;
   options.schedule = ScheduleMode::kStealing;
   options.steal_seed = 42;

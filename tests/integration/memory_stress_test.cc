@@ -44,7 +44,6 @@ TEST(MemoryStressTest, FiftyThousandUsersUnderResidencyBudget) {
   config.market_users = 1000;
 
   ShardEngineOptions options;
-  options.shards = 1;
   options.threads = 1;
   options.max_resident_users = 1000;
   options.run_baseline = false;  // The PAD pipeline alone exercises residency.

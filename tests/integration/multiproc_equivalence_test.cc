@@ -57,7 +57,6 @@ std::string TempPath(const std::string& name) {
 
 ShardEngineOptions BaseOptions() {
   ShardEngineOptions options;
-  options.shards = 1;
   options.threads = 1;
   options.event_digests = true;
   return options;
@@ -260,7 +259,7 @@ TEST(MultiprocEquivalenceTest, ValidationRejectsBadOptions) {
 
   // Bad engine options surface through the same validator.
   MultiprocEngineOptions bad_engine = MultiprocOptions(2, TempPath("mp_v2.ckpt"));
-  bad_engine.engine.shards = -1;
+  bad_engine.engine.threads = -1;
   EXPECT_FALSE(ValidateMultiprocOptions(config, bad_engine).empty());
 
   EXPECT_EQ("/tmp/run.ckpt.w3", WorkerJournalPath("/tmp/run.ckpt", 3));

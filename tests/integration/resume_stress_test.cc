@@ -41,7 +41,6 @@ TEST(ResumeStressTest, FiftyThousandUsersInterruptedAndResumedByteIdentical) {
   config.market_users = 1000;
 
   ShardEngineOptions golden_options;
-  golden_options.shards = 2;
   golden_options.threads = 2;
   golden_options.max_resident_users = 4000;
   golden_options.run_baseline = false;
@@ -70,7 +69,6 @@ TEST(ResumeStressTest, FiftyThousandUsersInterruptedAndResumedByteIdentical) {
 
   // Resume with different execution knobs; the journal is portable.
   ShardEngineOptions second_leg = golden_options;
-  second_leg.shards = 4;
   second_leg.threads = 4;
   second_leg.checkpoint_path = path;
   StatusOr<ShardedComparison> resumed_or = RunShardedResumable(config, second_leg);

@@ -3,8 +3,8 @@
 //   1. market_users = 0 (one market) is byte-identical to the monolithic
 //      RunComparison path — metrics and event-log digests both.
 //   2. For a fixed config (any market_users), results are byte-identical for
-//      every shard count, thread count, schedule (static or work-stealing),
-//      steal seed, and residency budget — including under fault injection.
+//      every worker count, schedule (static or work-stealing), steal seed,
+//      and residency budget — including under fault injection.
 //
 // Digests are FNV-1a over every metrics field (sweep.h), so "digest equal"
 // here means "bit-identical", not "approximately equal".
@@ -72,52 +72,47 @@ void ExpectSameShardedResult(const ShardedComparison& expected,
 void CheckMonolithicEquality(PadConfig config) {
   config.market_users = 0;
   const MonolithicRun mono = RunMonolithic(config);
-  for (const int shards : {1, 32}) {
-    for (const int threads : {1, 4}) {
-      ShardEngineOptions options;
-      options.shards = shards;
-      options.threads = threads;
-      options.event_digests = true;
-      const ShardedComparison sharded = RunShardedComparison(config, options);
-      ASSERT_EQ(1, sharded.num_markets);
-      // Bit-identical run: the single market IS the monolithic run.
-      EXPECT_EQ(mono.pad_digest, MetricsDigest(sharded.totals.pad))
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(mono.baseline_digest, MetricsDigest(sharded.totals.baseline));
-      EXPECT_EQ(mono.pad_digest, sharded.market_pad_digests.at(0));
-      EXPECT_EQ(mono.event_digest, sharded.market_event_digests.at(0));
-      // The combined reduction wraps the per-market digests, so compare it
-      // against the identically wrapped monolithic digest.
-      const std::vector<uint64_t> wrapped_pad = {mono.pad_digest};
-      const std::vector<uint64_t> wrapped_events = {mono.event_digest};
-      EXPECT_EQ(DigestCombine(wrapped_pad), sharded.combined_pad_digest);
-      EXPECT_EQ(DigestCombine(wrapped_events), sharded.combined_event_digest);
-    }
+  for (const int threads : {1, 4, 32}) {
+    ShardEngineOptions options;
+    options.threads = threads;
+    options.event_digests = true;
+    const ShardedComparison sharded = RunShardedComparison(config, options);
+    ASSERT_EQ(1, sharded.num_markets);
+    // Bit-identical run: the single market IS the monolithic run.
+    EXPECT_EQ(mono.pad_digest, MetricsDigest(sharded.totals.pad)) << "threads=" << threads;
+    EXPECT_EQ(mono.baseline_digest, MetricsDigest(sharded.totals.baseline));
+    EXPECT_EQ(mono.pad_digest, sharded.market_pad_digests.at(0));
+    EXPECT_EQ(mono.event_digest, sharded.market_event_digests.at(0));
+    // The combined reduction wraps the per-market digests, so compare it
+    // against the identically wrapped monolithic digest.
+    const std::vector<uint64_t> wrapped_pad = {mono.pad_digest};
+    const std::vector<uint64_t> wrapped_events = {mono.event_digest};
+    EXPECT_EQ(DigestCombine(wrapped_pad), sharded.combined_pad_digest);
+    EXPECT_EQ(DigestCombine(wrapped_events), sharded.combined_event_digest);
   }
 }
 
-void CheckExecutionKnobInvariance(PadConfig config, const std::vector<int>& shard_counts) {
+void CheckExecutionKnobInvariance(PadConfig config, const std::vector<int>& thread_counts) {
   config.market_users = 50;
   ShardEngineOptions reference_options;
-  reference_options.shards = 1;
   reference_options.threads = 1;
   reference_options.event_digests = true;
   const ShardedComparison reference = RunShardedComparison(config, reference_options);
   ASSERT_EQ(6, reference.num_markets);
 
-  for (const int shards : shard_counts) {
-    for (const int threads : {1, 4}) {
+  for (const int threads : thread_counts) {
+    // Unlimited, then a tight budget that exercises the admission gate.
+    for (const int64_t max_resident : {int64_t{0}, int64_t{100}}) {
       ShardEngineOptions options;
-      options.shards = shards;
       options.threads = threads;
       options.event_digests = true;
-      // A tight budget exercises the admission gate on the same run.
-      options.max_resident_users = threads > 1 ? 100 : 0;
+      options.max_resident_users = max_resident;
       const ShardedComparison run = RunShardedComparison(config, options);
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " max_resident=" + std::to_string(max_resident));
       ExpectSameShardedResult(reference, run);
-      if (options.max_resident_users > 0) {
-        EXPECT_LE(run.peak_resident_users, options.max_resident_users);
+      if (max_resident > 0) {
+        EXPECT_LE(run.peak_resident_users, max_resident);
       }
     }
   }
@@ -134,7 +129,7 @@ TEST(ShardEquivalenceTest, SingleMarketMatchesMonolithicPathUnderFaults) {
 }
 
 TEST(ShardEquivalenceTest, ShardAndThreadCountsNeverChangeResults) {
-  CheckExecutionKnobInvariance(TestConfig(), {2, 7, 32});
+  CheckExecutionKnobInvariance(TestConfig(), {2, 4, 7, 32});
 }
 
 TEST(ShardEquivalenceTest, ShardAndThreadCountsNeverChangeResultsUnderFaults) {
@@ -159,7 +154,6 @@ TEST(ShardEquivalenceTest, SchedulerStressSkewedMarketsByteIdentical) {
   config.market_users = 20;  // 12 markets; the first ~1.2 are heavy.
 
   ShardEngineOptions reference_options;
-  reference_options.shards = 1;
   reference_options.threads = 1;
   reference_options.event_digests = true;
   const ShardedComparison reference = RunShardedComparison(config, reference_options);
@@ -175,7 +169,6 @@ TEST(ShardEquivalenceTest, SchedulerStressSkewedMarketsByteIdentical) {
             continue;
           }
           ShardEngineOptions options;
-          options.shards = workers;
           options.threads = workers;
           options.schedule = schedule;
           options.steal_seed = steal_seed;
@@ -212,7 +205,6 @@ TEST(ShardEquivalenceTest, SchedulerStressSkewedMarketsByteIdenticalUnderFaults)
   config.faults = TestFaults();
 
   ShardEngineOptions reference_options;
-  reference_options.shards = 1;
   reference_options.threads = 1;
   reference_options.event_digests = true;
   const ShardedComparison reference = RunShardedComparison(config, reference_options);
@@ -220,7 +212,7 @@ TEST(ShardEquivalenceTest, SchedulerStressSkewedMarketsByteIdenticalUnderFaults)
   for (const int workers : {3, 8}) {
     for (const uint64_t steal_seed : {1ull, 7ull}) {
       ShardEngineOptions options;
-      options.shards = workers;
+      options.threads = workers;
       options.schedule = ScheduleMode::kStealing;
       options.steal_seed = steal_seed;
       options.event_digests = true;
@@ -238,7 +230,7 @@ TEST(ShardEquivalenceTest, ExecutionTraceCoversEveryMarket) {
   PadConfig config = TestConfig();
   config.market_users = 50;
   ShardEngineOptions options;
-  options.shards = 3;
+  options.threads = 3;
   const ShardedComparison run = RunShardedComparison(config, options);
   ASSERT_EQ(6, run.num_markets);
   ASSERT_EQ(6u, run.market_workers.size());
@@ -264,7 +256,7 @@ TEST(ShardEquivalenceTest, ValidateShardOptionsRejectsBadKnobs) {
   EXPECT_EQ("", ValidateShardOptions(config, {}));
 
   ShardEngineOptions negative;
-  negative.shards = -1;
+  negative.threads = -1;
   EXPECT_NE("", ValidateShardOptions(config, negative));
 
   // Budget below the largest market would deadlock the admission gate, so

@@ -23,7 +23,10 @@
 //   fault_offline_window_h, fault_stale_decay   per-channel fault knobs
 //                                           (applied on top of fault_rate)
 //   mode=compare|pad|baseline               what to run
-//   threads=N                               sweep/run concurrency (0 = hw);
+//   threads=N                               workers for the sweep, the
+//                                           baseline ∥ PAD pair, or the
+//                                           streaming engine's markets
+//                                           (execution-only; 0 = hw);
 //                                           results identical for any N
 //   market_users=N                          partition users into independent
 //                                           markets of N (semantic; 0 = one
@@ -32,10 +35,6 @@
 //   skew_rate_multiplier=X                  the first F of users get X times
 //                                           the session rate (semantic; the
 //                                           E19 scheduler stress workload)
-//   shards=N                                streaming engine worker lanes
-//                                           (execution-only; 0 = hw; the
-//                                           engine runs max(shards, threads)
-//                                           workers)
 //   processes=N                             fork N worker processes and hand
 //                                           markets out over pipes; requires
 //                                           checkpoint= (worker journals are
@@ -65,19 +64,27 @@
 //   watchdog_s=S                            report (to stderr) any market
 //                                           running longer than S seconds
 //   sweep_users=a,b,c                       paired run per population size,
-//                                           fanned across `threads`
+//                                           fanned across `threads`; each
+//                                           entry a positive whole number
 //   csv_out=<path>                          append a machine-readable row
 //   label=<text>                            row label for the CSV
+//
+// An unknown key is an error (exit 1), not a warning: a typo'd knob would
+// otherwise run the default silently.
 //
 // Exit codes: 0 ok, 1 invalid argument/config, 2 missing or unwritable file,
 // 3 stale checkpoint (fingerprint mismatch), 4 corrupt data, 5 internal,
 // 6 every worker process died before the run completed (completed markets
 // are journaled; rerun the same command to resume), 130 interrupted by
 // signal (journal flushed; rerun to resume).
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -86,7 +93,7 @@
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
-#include "src/common/thread_pool.h"
+#include "src/common/task_scheduler.h"
 #include "src/core/multiproc_engine.h"
 #include "src/core/pad_simulation.h"
 #include "src/core/shard_engine.h"
@@ -102,21 +109,27 @@ std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int) { g_stop_requested.store(true); }
 
-std::vector<int> ParseIntList(const std::string& text) {
-  std::vector<int> values;
+// Parses sweep_users strictly: every comma-separated entry is a whole
+// decimal number >= 1, so "100k", "2e3", "0" and empty entries are errors
+// rather than truncated sweeps. Returns false after naming the bad entry.
+bool ParseUserCounts(const std::string& text, std::vector<int>* counts) {
   size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
+  while (true) {
+    const size_t end = std::min(text.find(',', start), text.size());
+    const std::string_view entry(text.data() + start, end - start);
+    int users = 0;
+    const auto [last, error] = std::from_chars(entry.data(), entry.data() + entry.size(), users);
+    if (error != std::errc() || last != entry.data() + entry.size() || users <= 0) {
+      std::cerr << "adpad_sim: sweep_users entry '" << entry
+                << "' is not a positive integer\n";
+      return false;
     }
-    const std::string token = text.substr(start, end - start);
-    if (!token.empty()) {
-      values.push_back(std::atoi(token.c_str()));
+    counts->push_back(users);
+    if (end == text.size()) {
+      return true;
     }
     start = end + 1;
   }
-  return values;
 }
 
 // A paired comparison per population size, fanned out across the sweep
@@ -127,10 +140,6 @@ int RunUserSweep(const PadConfig& base, const std::vector<int>& user_counts,
   std::vector<PadConfig> configs;
   configs.reserve(user_counts.size());
   for (int users : user_counts) {
-    if (users <= 0) {
-      std::cerr << "sweep_users entries must be positive\n";
-      return 1;
-    }
     PadConfig point = base;
     point.population.num_users = users;
     if (!arrivals_pinned) {
@@ -249,15 +258,14 @@ int RunTool(const Options& options) {
   const std::string label = options.GetString("label", "run");
   const int threads = options.GetInt("threads", 1);
   const std::string sweep_users = options.GetString("sweep_users", "");
-  const bool use_shard_engine = options.Has("shards") || options.Has("max_resident_users") ||
-                                options.Has("checkpoint") || options.Has("schedule") ||
-                                options.Has("processes") || config.market_users > 0;
+  const bool use_shard_engine = options.Has("max_resident_users") || options.Has("checkpoint") ||
+                                options.Has("schedule") || options.Has("processes") ||
+                                config.market_users > 0;
   const bool multiproc = options.Has("processes");
   MultiprocEngineOptions multiproc_options;
   multiproc_options.processes = options.GetInt("processes", 1);
   multiproc_options.stall_kill_s = options.GetDouble("stall_kill_s", 0.0);
   ShardEngineOptions shard_options;
-  shard_options.shards = options.GetInt("shards", 1);
   shard_options.threads = threads;
   const std::string schedule = options.GetString("schedule", "stealing");
   if (schedule == "stealing") {
@@ -281,7 +289,8 @@ int RunTool(const Options& options) {
   }
 
   for (const std::string& key : options.UnusedKeys()) {
-    std::cerr << "warning: unknown option '" << key << "' ignored\n";
+    std::cerr << "unknown option '" << key << "'\n";
+    return 1;
   }
   // A mistyped value (users=ten) lands here, not in an abort: the getters
   // record the first type error and fall back to the default.
@@ -303,12 +312,15 @@ int RunTool(const Options& options) {
       std::cerr << "sweep_users generates its own traces; drop trace_in\n";
       return 1;
     }
-    return RunUserSweep(config, ParseIntList(sweep_users), options.Has("arrivals_per_day"),
-                        sweep);
+    std::vector<int> user_counts;
+    if (!ParseUserCounts(sweep_users, &user_counts)) {
+      return 1;
+    }
+    return RunUserSweep(config, user_counts, options.Has("arrivals_per_day"), sweep);
   }
 
   // Streaming sharded engine: lazy per-market generation under a resident
-  // budget, identical results for any shards/threads/max_resident_users.
+  // budget, identical results for any threads/schedule/max_resident_users.
   if (use_shard_engine) {
     if (!trace_in.empty()) {
       std::cerr << "the streaming engine generates traces lazily; drop trace_in\n";
@@ -342,7 +354,7 @@ int RunTool(const Options& options) {
     std::signal(SIGTERM, HandleStopSignal);
     std::cout << "running streaming '" << mode << "': " << config.population.num_users
               << " users, market_users=" << config.market_users
-              << ", shards=" << shard_options.shards << ", threads=" << threads
+              << ", threads=" << threads
               << ", max_resident_users=" << shard_options.max_resident_users;
     if (multiproc) {
       std::cout << ", processes=" << multiproc_options.processes;
@@ -458,25 +470,16 @@ int RunTool(const Options& options) {
   }
   EventLog event_log;
   EventLog* pad_log = events_out.empty() ? nullptr : &event_log;
-  if (run_baseline && run_pad && threads != 1) {
-    // The two halves of a comparison share only the read-only inputs, so
-    // they are a 2-job batch for the pool.
-    ThreadPool pool(2);
-    pool.ParallelFor(2, [&](int64_t i) {
-      if (i == 0) {
-        baseline = RunBaseline(config, inputs);
-      } else {
-        pad = RunPad(config, inputs, pad_log);
-      }
-    });
-  } else {
-    if (run_baseline) {
+  // The halves of a comparison share only the read-only inputs, so they are
+  // independent jobs for the scheduler; one worker runs them inline, in order.
+  const int64_t jobs = (run_baseline ? 1 : 0) + (run_pad ? 1 : 0);
+  RunTaskQueues(PartitionTasks(jobs, ResolveWorkers(threads, jobs)), [&](int, int64_t job) {
+    if (run_baseline && job == 0) {
       baseline = RunBaseline(config, inputs);
-    }
-    if (run_pad) {
+    } else {
       pad = RunPad(config, inputs, pad_log);
     }
-  }
+  });
   if (!events_out.empty() && run_pad) {
     std::ofstream out(events_out);
     if (!out.good()) {
