@@ -130,6 +130,32 @@ std::vector<BatteryCase> Battery() {
     c.config.planner.confidence_discount = 0.8;
     cases.push_back(c);
   }
+  {
+    // Narrow targeting and frequency caps: the segment and cap branches of
+    // the eligibility check, the diversity counter and the batch limit.
+    BatteryCase c{"targeted_capped", BatteryBase(), 0xf2aa05f3112172e7ull,
+                  0xd19d0bc54b75d131ull, 0x1e1f32fde681a1b9ull, 13407};
+    c.config.market_users = 10;
+    c.config.population.num_segments = 4;
+    c.config.campaigns.targeted_fraction = 0.7;
+    c.config.campaigns.segment_selectivity = 0.25;
+    c.config.campaigns.capped_fraction = 0.5;
+    cases.push_back(c);
+  }
+  {
+    // The same market with offline clients and missed syncs on top.
+    BatteryCase c{"targeted_capped_faults", BatteryBase(), 0x9100bba301c3a9d4ull,
+                  0xd19d0bc54b75d131ull, 0x2329583edf7df6daull, 13407};
+    c.config.market_users = 10;
+    c.config.population.num_segments = 4;
+    c.config.campaigns.targeted_fraction = 0.7;
+    c.config.campaigns.segment_selectivity = 0.25;
+    c.config.campaigns.capped_fraction = 0.5;
+    c.config.faults.sync_miss_rate = 0.10;
+    c.config.faults.offline_rate = 0.05;
+    c.config.faults.fetch_failure_rate = 0.05;
+    cases.push_back(c);
+  }
   return cases;
 }
 
