@@ -1,6 +1,7 @@
 #include "src/apps/workload.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/check.h"
 
@@ -9,19 +10,15 @@ namespace {
 
 void ExpandSession(const AppProfile& app, const Session& session, const WorkloadOptions& options,
                    UserWorkload& out) {
-  // Ad slots: one at launch, then one per completed refresh period.
-  if (app.has_ads && app.ad_refresh_s > 0.0) {
-    for (double t = session.start_time; t <= session.end_time() + 1e-9;
-         t += app.ad_refresh_s) {
-      out.slots.push_back(SlotEvent{session.user_id, session.app_id, t});
-      if (options.on_demand_ads) {
-        out.transfers.push_back(Transfer{.request_time = t,
-                                         .bytes = app.ad_bytes,
-                                         .direction = Direction::kDownlink,
-                                         .category = TrafficCategory::kAdFetch});
-      }
+  ForEachSlotTime(app, session, [&](double t) {
+    out.slots.push_back(SlotEvent{session.user_id, session.app_id, t});
+    if (options.on_demand_ads) {
+      out.transfers.push_back(Transfer{.request_time = t,
+                                       .bytes = app.ad_bytes,
+                                       .direction = Direction::kDownlink,
+                                       .category = TrafficCategory::kAdFetch});
     }
-  }
+  });
 
   if (options.app_content) {
     if (app.launch_bytes > 0.0) {
@@ -46,6 +43,19 @@ void ExpandSession(const AppProfile& app, const Session& session, const Workload
 }
 
 }  // namespace
+
+uint32_t TransferShapes::KindOf(const Transfer& transfer) {
+  const uint64_t bits = std::bit_cast<uint64_t>(transfer.bytes);
+  for (size_t i = 0; i < shapes_.size(); ++i) {
+    const Transfer& shape = shapes_[i];
+    if (std::bit_cast<uint64_t>(shape.bytes) == bits && shape.direction == transfer.direction &&
+        shape.category == transfer.category) {
+      return static_cast<uint32_t>(i + 1);
+    }
+  }
+  shapes_.push_back(transfer);
+  return static_cast<uint32_t>(shapes_.size());
+}
 
 UserWorkload ExpandUser(const AppCatalog& catalog, const UserTrace& user,
                         const WorkloadOptions& options) {

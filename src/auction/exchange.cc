@@ -59,8 +59,9 @@ Exchange::ActiveCampaign* Exchange::PeekLive(BidHeap& heap) {
   return nullptr;
 }
 
-const std::vector<SoldImpression>& Exchange::SellSlots(double now, int64_t count, int segment,
-                                                       const BatchLimitFn& batch_limit) {
+template <typename Record>
+int64_t Exchange::Sell(double now, int64_t count, int segment, const BatchLimitFn& batch_limit,
+                       Record&& record) {
   PAD_CHECK_MSG(now >= last_now_, "SellSlots times must be non-decreasing");
   PAD_CHECK(count >= 0);
   PAD_CHECK(segment >= 0 && segment < config_.num_segments);
@@ -74,8 +75,7 @@ const std::vector<SoldImpression>& Exchange::SellSlots(double now, int64_t count
   std::unordered_map<int64_t, int64_t>& bought_this_batch = bought_scratch_;
   bought_this_batch.clear();
 
-  std::vector<SoldImpression>& sold = sold_scratch_;
-  sold.clear();
+  int64_t sold = 0;
   while (count > 0) {
     ActiveCampaign* top = PeekLive(heap);
     if (top == nullptr) {
@@ -132,9 +132,9 @@ const std::vector<SoldImpression>& Exchange::SellSlots(double now, int64_t count
       impression.deadline = now + top->campaign.display_deadline_s;
       impression.segment_mask = top->campaign.segment_mask;
       impression.frequency_cap_per_day = top->campaign.frequency_cap_per_day;
-      ledger_.RecordSale(impression);
-      sold.push_back(impression);
+      record(impression);
     }
+    sold += chunk;
     top->remaining -= chunk;
     top->committed_spend += static_cast<double>(chunk) * outcome.clearing_price;
     open_demand_ -= chunk;
@@ -155,6 +155,23 @@ const std::vector<SoldImpression>& Exchange::SellSlots(double now, int64_t count
     heap.push(campaign);
   }
   return sold;
+}
+
+const std::vector<SoldImpression>& Exchange::SellSlots(double now, int64_t count, int segment,
+                                                       const BatchLimitFn& batch_limit) {
+  std::vector<SoldImpression>& sold = sold_scratch_;
+  sold.clear();
+  Sell(now, count, segment, batch_limit, [this, &sold](const SoldImpression& impression) {
+    ledger_.RecordSale(impression);
+    sold.push_back(impression);
+  });
+  return sold;
+}
+
+bool Exchange::SellAndDisplaySlot(double now, int segment) {
+  return Sell(now, 1, segment, nullptr, [this](const SoldImpression& impression) {
+           ledger_.RecordBilledSale(impression);
+         }) > 0;
 }
 
 }  // namespace pad

@@ -61,6 +61,12 @@ class RevenueLedger {
   // Later replicas and post-deadline displays count as excess.
   bool RecordDisplay(int64_t impression_id, double time);
 
+  // A sale displayed the moment it sold (the baseline's real-time path):
+  // RecordSale followed by a billing RecordDisplay at sale_time, without
+  // opening the impression or queueing it for TakeRecentlyBilled. Same
+  // checks, counts and revenue order as that pair.
+  void RecordBilledSale(const SoldImpression& impression);
+
   // Records a display that was never tied to a sale (e.g. a client showing a
   // locally cached filler ad). Pure excess.
   void RecordUnsoldDisplay();
