@@ -29,18 +29,43 @@ int64_t SlotSeries::TotalSlots() const {
   return total;
 }
 
-SlotSeries BinSlots(std::span<const SlotEvent> slots, double horizon_s, double window_s) {
+namespace {
+
+// An all-zero series covering the horizon, and the binning step that fills
+// it: BinSlots and CountSlots share both, so they place every slot alike.
+SlotSeries EmptySeries(double horizon_s, double window_s) {
   PAD_CHECK(window_s > 0.0);
   PAD_CHECK(horizon_s > 0.0);
   SlotSeries series;
   series.window_s = window_s;
   const int num_windows = static_cast<int>(std::ceil(horizon_s / window_s));
   series.counts.assign(static_cast<size_t>(num_windows), 0);
+  return series;
+}
+
+void CountSlot(double time, SlotSeries& series) {
+  const int w = static_cast<int>(time / series.window_s);
+  if (w >= 0 && w < series.num_windows()) {
+    ++series.counts[static_cast<size_t>(w)];
+  }
+}
+
+}  // namespace
+
+SlotSeries BinSlots(std::span<const SlotEvent> slots, double horizon_s, double window_s) {
+  SlotSeries series = EmptySeries(horizon_s, window_s);
   for (const SlotEvent& slot : slots) {
-    const int w = static_cast<int>(slot.time / window_s);
-    if (w >= 0 && w < num_windows) {
-      ++series.counts[static_cast<size_t>(w)];
-    }
+    CountSlot(slot.time, series);
+  }
+  return series;
+}
+
+SlotSeries CountSlots(const AppCatalog& catalog, const UserTrace& user, double horizon_s,
+                      double window_s) {
+  SlotSeries series = EmptySeries(horizon_s, window_s);
+  for (const Session& session : user.sessions) {
+    ForEachSlotTime(catalog.Get(session.app_id), session,
+                    [&series](double t) { CountSlot(t, series); });
   }
   return series;
 }

@@ -34,6 +34,13 @@ struct SlotSeries {
 // windows; slots at or past the horizon are dropped.
 SlotSeries BinSlots(std::span<const SlotEvent> slots, double horizon_s, double window_s);
 
+// Counts a user's ad slots per window straight from the sessions: the series
+// BinSlots(ExpandUser(catalog, user, options).slots, horizon_s, window_s)
+// gives for options without a session-start threshold, without expanding,
+// sorting or storing a slot vector (counts do not depend on slot order).
+SlotSeries CountSlots(const AppCatalog& catalog, const UserTrace& user, double horizon_s,
+                      double window_s);
+
 }  // namespace pad
 
 #endif  // ADPAD_SRC_PREDICTION_SLOT_SERIES_H_

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "src/trace/generator.h"
 
 namespace pad {
 namespace {
@@ -54,6 +55,65 @@ TEST(SlotSeriesTest, BoundarySlotGoesToLaterWindow) {
   const SlotSeries series = BinSlots(slots, 2.0 * kHour, kHour);
   EXPECT_EQ(series.counts[0], 0);
   EXPECT_EQ(series.counts[1], 1);
+}
+
+// The warm-up counter must give exactly the series that binning the
+// expanded slot stream gives, for every user of a seeded population and for
+// windows of several lengths.
+TEST(SlotSeriesTest, CountSlotsMatchesBinnedExpansionOnSeededUsers) {
+  const AppCatalog catalog = AppCatalog::TopFifteen();
+  PopulationConfig config;
+  config.num_users = 60;
+  config.horizon_s = 10.0 * kDay;
+  config.num_apps = catalog.size();
+  config.seed = 42;
+  const Population population = GeneratePopulation(config);
+  WorkloadOptions slots_only;
+  slots_only.on_demand_ads = false;
+  slots_only.app_content = false;
+  int64_t total = 0;
+  for (const double window_s : {15.0 * kMinute, kHour, 3.0 * kHour}) {
+    for (const UserTrace& user : population.users) {
+      SCOPED_TRACE(testing::Message() << "user " << user.user_id << " window " << window_s);
+      const SlotSeries binned =
+          BinSlots(ExpandUser(catalog, user, slots_only).slots, population.horizon_s, window_s);
+      const SlotSeries counted = CountSlots(catalog, user, population.horizon_s, window_s);
+      EXPECT_EQ(counted.window_s, binned.window_s);
+      EXPECT_EQ(counted.counts, binned.counts);
+      total += counted.TotalSlots();
+    }
+  }
+  EXPECT_GT(total, 0);
+}
+
+// Hand-counted edge cases: slots exactly on window boundaries, a session
+// whose last slot falls inside the 1e-9 s end tolerance, and a slot exactly
+// at the horizon (dropped).
+TEST(SlotSeriesTest, CountSlotsAtWindowEdgesAndEndTolerance) {
+  AppProfile app;
+  app.app_id = 0;
+  app.has_ads = true;
+  app.ad_refresh_s = 30.0;
+  const AppCatalog catalog({app});
+  UserTrace user;
+  // Slots at 3600, 3630, ..., 7200: 120 in window 1, the last one (exactly on
+  // the next boundary) in window 2.
+  user.sessions.push_back(Session{0, 0, kHour, kHour});
+  // Slots at 10000, 10030 and 10060; the session ends 5e-10 s before the
+  // last one, inside the tolerance.
+  user.sessions.push_back(Session{0, 0, 10000.0, 60.0 - 5e-10});
+  // Slots at 14370 (window 3) and 14400, exactly at the horizon.
+  user.sessions.push_back(Session{0, 0, 14370.0, 30.0});
+  const double horizon_s = 4.0 * kHour;
+  ASSERT_LT(user.sessions[1].end_time(), 10060.0);
+
+  const std::vector<int> expected = {0, 120, 4, 1};
+  EXPECT_EQ(CountSlots(catalog, user, horizon_s, kHour).counts, expected);
+  WorkloadOptions slots_only;
+  slots_only.on_demand_ads = false;
+  slots_only.app_content = false;
+  EXPECT_EQ(BinSlots(ExpandUser(catalog, user, slots_only).slots, horizon_s, kHour).counts,
+            expected);
 }
 
 }  // namespace
