@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/units.h"
 
 namespace pad {
 namespace {
@@ -117,6 +121,63 @@ TEST(ExchangeTest, RevenueNonDecreasingInDemand) {
     thick_revenue += impression.price;
   }
   EXPECT_GT(thick_revenue, thin_revenue);
+}
+
+// Bill-at-sale must be the sale-then-display pair it replaces, bit for bit:
+// the same slots sell, the same campaigns retire, and every ledger total
+// matches, billed revenue summed in the same order. Neither path may leave
+// an impression open; only the pair queues ids for invalidation.
+TEST(ExchangeTest, SellAndDisplaySlotMatchesSellThenDisplay) {
+  CampaignStreamConfig stream;
+  stream.horizon_s = 3.0 * kDay;
+  stream.arrivals_per_day = 150.0;
+  stream.target_mu = 4.0;  // Small targets, so campaigns exhaust and retire.
+  stream.num_segments = 4;
+  stream.targeted_fraction = 0.5;
+  stream.budgeted_fraction = 0.5;
+  stream.seed = 11;
+  const std::vector<Campaign> campaigns = GenerateCampaignStream(stream);
+  ExchangeConfig config;
+  config.num_segments = stream.num_segments;
+  Exchange reference(config, campaigns);
+  Exchange billed(config, campaigns);
+
+  Rng rng(5);
+  double t = 0.0;
+  int64_t unsold = 0;
+  for (int i = 0; i < 20000; ++i) {
+    t += rng.Uniform(0.0, 25.0);
+    const int segment = static_cast<int>(rng.UniformInt(0, stream.num_segments - 1));
+    const std::vector<SoldImpression>& sold = reference.SellSlots(t, 1, segment);
+    if (!sold.empty()) {
+      ASSERT_TRUE(reference.ledger().RecordDisplay(sold.front().impression_id, t));
+    } else {
+      ++unsold;
+    }
+    ASSERT_EQ(billed.SellAndDisplaySlot(t, segment), !sold.empty()) << "slot " << i;
+    ASSERT_EQ(billed.open_demand(), reference.open_demand()) << "slot " << i;
+    ASSERT_EQ(billed.active_campaigns(), reference.active_campaigns()) << "slot " << i;
+  }
+  reference.ledger().ExpireDeadlines(t + kDay);
+  billed.ledger().ExpireDeadlines(t + kDay);
+
+  const LedgerTotals& want = reference.ledger().totals();
+  const LedgerTotals& got = billed.ledger().totals();
+  EXPECT_GT(want.billed, 1000);
+  EXPECT_GT(unsold, 0);
+  EXPECT_EQ(got.sold, want.sold);
+  EXPECT_EQ(got.billed, want.billed);
+  EXPECT_EQ(got.violated, want.violated);
+  EXPECT_EQ(got.excess_displays, want.excess_displays);
+  EXPECT_EQ(got.displays, want.displays);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.billed_revenue),
+            std::bit_cast<uint64_t>(want.billed_revenue));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.violated_value),
+            std::bit_cast<uint64_t>(want.violated_value));
+  EXPECT_EQ(reference.ledger().open_impressions(), 0);
+  EXPECT_EQ(billed.ledger().open_impressions(), 0);
+  EXPECT_EQ(static_cast<int64_t>(reference.ledger().TakeRecentlyBilled().size()), want.billed);
+  EXPECT_TRUE(billed.ledger().TakeRecentlyBilled().empty());
 }
 
 TEST(ExchangeDeathTest, TimeMustBeMonotonic) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 namespace pad {
 namespace {
 
@@ -113,6 +117,59 @@ TEST(LedgerTest, ViolatedImpressionDoesNotAppearInRecentlyBilled) {
   ledger.RecordSale(Impression(1, 0.001, 0.0, 100.0));
   ledger.ExpireDeadlines(1e9);
   EXPECT_TRUE(ledger.TakeRecentlyBilled().empty());
+}
+
+// Records every observer callback as one line.
+class RecordingObserver : public LedgerObserver {
+ public:
+  void OnSale(double time, int64_t id, int64_t campaign, double price) override {
+    Add("sale", time, id, campaign, price);
+  }
+  void OnBilledDisplay(double time, int64_t id, int64_t campaign, double price) override {
+    Add("billed", time, id, campaign, price);
+  }
+  void OnExcessDisplay(double time, int64_t id) override { Add("excess", time, id, 0, 0.0); }
+  void OnViolation(double deadline, int64_t id, int64_t campaign, double price) override {
+    Add("violation", deadline, id, campaign, price);
+  }
+  std::vector<std::string> lines;
+
+ private:
+  void Add(const char* what, double time, int64_t id, int64_t campaign, double price) {
+    char line[128];
+    std::snprintf(line, sizeof(line), "%s %a %lld %lld %a", what, time,
+                  static_cast<long long>(id), static_cast<long long>(campaign), price);
+    lines.emplace_back(line);
+  }
+};
+
+TEST(LedgerTest, BilledSaleMatchesSaleThenDisplayAtSaleTime) {
+  RevenueLedger pair;
+  RevenueLedger billed;
+  RecordingObserver pair_events;
+  RecordingObserver billed_events;
+  pair.set_observer(&pair_events);
+  billed.set_observer(&billed_events);
+  for (int64_t id = 1; id <= 3; ++id) {
+    const SoldImpression impression = Impression(id, 0.001 * static_cast<double>(id),
+                                                 10.0 * static_cast<double>(id), 500.0);
+    pair.RecordSale(impression);
+    ASSERT_TRUE(pair.RecordDisplay(id, impression.sale_time));
+    billed.RecordBilledSale(impression);
+  }
+  EXPECT_EQ(billed_events.lines, pair_events.lines);
+  EXPECT_EQ(billed.totals().sold, 3);
+  EXPECT_EQ(billed.totals().billed, 3);
+  EXPECT_EQ(billed.totals().displays, 3);
+  EXPECT_EQ(billed.totals().billed_revenue, pair.totals().billed_revenue);
+  EXPECT_EQ(billed.open_impressions(), 0);
+  EXPECT_TRUE(billed.TakeRecentlyBilled().empty());
+}
+
+TEST(LedgerDeathTest, BilledSaleKeepsTheSaleChecks) {
+  RevenueLedger ledger;
+  EXPECT_DEATH(ledger.RecordBilledSale(Impression(1, 0.001, 50.0, 10.0)), "deadline");
+  EXPECT_DEATH(ledger.RecordBilledSale(Impression(2, -0.001)), "price");
 }
 
 TEST(LedgerDeathTest, DuplicateSaleAborts) {
