@@ -8,20 +8,12 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/common/bytes.h"
+#include "src/common/frame_reader.h"
 #include "src/common/sockio.h"
 
 namespace pad {
 namespace {
-
-constexpr size_t kFrameHeaderBytes = 4;  // The u32 length prefix.
-
-uint32_t ReadU32Le(const char* data) {
-  uint32_t value = 0;
-  for (int byte = 0; byte < 4; ++byte) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(data[byte])) << (8 * byte);
-  }
-  return value;
-}
 
 Status ErrnoStatus(const char* what) {
   return Status::Unavailable(std::string(what) + ": " + std::strerror(errno));
@@ -45,93 +37,14 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
-// ---------------------------------------------------------------------------
-// Payload packing.
-
-void IpcPutU32(std::string* out, uint32_t value) {
-  for (int byte = 0; byte < 4; ++byte) {
-    out->push_back(static_cast<char>((value >> (8 * byte)) & 0xffu));
-  }
-}
-
-void IpcPutU64(std::string* out, uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    out->push_back(static_cast<char>((value >> (8 * byte)) & 0xffull));
-  }
-}
-
-void IpcPutI64(std::string* out, int64_t value) { IpcPutU64(out, static_cast<uint64_t>(value)); }
-
-void IpcPutF64(std::string* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  IpcPutU64(out, bits);
-}
-
-void IpcPutString(std::string* out, std::string_view value) {
-  IpcPutU32(out, static_cast<uint32_t>(value.size()));
-  out->append(value);
-}
-
-bool IpcParser::Need(size_t bytes) {
-  if (!ok_ || data_.size() - pos_ < bytes) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-uint32_t IpcParser::GetU32() {
-  if (!Need(4)) {
-    return 0;
-  }
-  const uint32_t value = ReadU32Le(data_.data() + pos_);
-  pos_ += 4;
-  return value;
-}
-
-uint64_t IpcParser::GetU64() {
-  if (!Need(8)) {
-    return 0;
-  }
-  uint64_t value = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + byte])) << (8 * byte);
-  }
-  pos_ += 8;
-  return value;
-}
-
-int64_t IpcParser::GetI64() { return static_cast<int64_t>(GetU64()); }
-
-double IpcParser::GetF64() {
-  const uint64_t bits = GetU64();
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-std::string IpcParser::GetString() {
-  const uint32_t length = GetU32();
-  if (!Need(length)) {
-    return std::string();
-  }
-  std::string value(data_.substr(pos_, length));
-  pos_ += length;
-  return value;
-}
-
-// ---------------------------------------------------------------------------
-// Frame I/O.
-
 Status SendIpcFrame(int fd, uint8_t type, std::string_view payload) {
   if (payload.size() + 1 > kMaxIpcPayload) {
     return Status::InvalidArgument("ipc frame payload exceeds kMaxIpcPayload");
   }
   std::string frame;
   frame.reserve(kFrameHeaderBytes + 1 + payload.size());
-  IpcPutU32(&frame, static_cast<uint32_t>(1 + payload.size()));
-  frame.push_back(static_cast<char>(type));
+  PutU32(&frame, static_cast<uint32_t>(1 + payload.size()));
+  PutU8(&frame, type);
   frame.append(payload);
 
   // SendAll (src/common/sockio.h) retries EINTR and short writes and turns a
@@ -140,72 +53,28 @@ Status SendIpcFrame(int fd, uint8_t type, std::string_view payload) {
   return SendAll(fd, frame.data(), frame.size());
 }
 
-StatusOr<IpcMessage> RecvIpcFrame(int fd, uint32_t max_payload) {
-  char header[kFrameHeaderBytes];
-  size_t got = 0;
-  PAD_RETURN_IF_ERROR(ReadFully(fd, header, sizeof(header), &got));
-  const uint32_t length = ReadU32Le(header);
-  if (length == 0 || length > max_payload) {
-    return Status::DataLoss("ipc frame length " + std::to_string(length) +
-                            " outside (0, " + std::to_string(max_payload) + "]");
+StatusOr<IpcMessage> SplitIpcFrame(std::string_view body) {
+  if (body.empty()) {
+    return Status::DataLoss("empty ipc frame: no type byte");
   }
-  std::string body(length, '\0');
-  PAD_RETURN_IF_ERROR(ReadFully(fd, body.data(), body.size(), &got));
   IpcMessage message;
   message.type = static_cast<uint8_t>(body[0]);
   message.payload = body.substr(1);
   return message;
 }
 
-Status IpcChannelReader::Pump(int fd) {
-  PAD_RETURN_IF_ERROR(poison_);
-  char chunk[4096];
-  while (true) {
-    const ssize_t n = ReadSome(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::Ok();
-      }
-      return ErrnoStatus("ipc read");
-    }
-    if (n == 0) {
-      return Status::Unavailable("peer closed");
-    }
-    // Reclaim the consumed prefix before growing (wire.h's FrameReader
-    // discipline: amortized O(1), bounded memory for any frame mix).
-    if (consumed_ > 0) {
-      buffer_.erase(0, consumed_);
-      consumed_ = 0;
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-    if (static_cast<size_t>(n) < sizeof(chunk)) {
-      return Status::Ok();  // Drained what was available.
-    }
+StatusOr<IpcMessage> RecvIpcFrame(int fd, uint32_t max_payload) {
+  char header[kFrameHeaderBytes];
+  size_t got = 0;
+  PAD_RETURN_IF_ERROR(ReadFully(fd, header, sizeof(header), &got));
+  const uint32_t length = ByteReader(std::string_view(header, sizeof(header))).GetU32();
+  if (length > max_payload) {
+    return Status::DataLoss("ipc frame length " + std::to_string(length) + " exceeds " +
+                            std::to_string(max_payload));
   }
-}
-
-Status IpcChannelReader::Next(IpcMessage* message, bool* have) {
-  *have = false;
-  PAD_RETURN_IF_ERROR(poison_);
-  const size_t pending = buffer_.size() - consumed_;
-  if (pending < kFrameHeaderBytes) {
-    return Status::Ok();
-  }
-  const uint32_t length = ReadU32Le(buffer_.data() + consumed_);
-  if (length == 0 || length > max_payload_) {
-    poison_ = Status::DataLoss("ipc frame length " + std::to_string(length) +
-                               " outside (0, " + std::to_string(max_payload_) + "]");
-    return poison_;
-  }
-  if (pending < kFrameHeaderBytes + length) {
-    return Status::Ok();
-  }
-  const char* body = buffer_.data() + consumed_ + kFrameHeaderBytes;
-  message->type = static_cast<uint8_t>(body[0]);
-  message->payload.assign(body + 1, length - 1);
-  consumed_ += kFrameHeaderBytes + length;
-  *have = true;
-  return Status::Ok();
+  std::string body(length, '\0');
+  PAD_RETURN_IF_ERROR(ReadFully(fd, body.data(), body.size(), &got));
+  return SplitIpcFrame(body);
 }
 
 }  // namespace pad

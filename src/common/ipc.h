@@ -6,24 +6,25 @@
 //
 //   [u32 frame_length (LE)] [u8 type] [frame_length - 1 bytes of payload]
 //
-// — the same framing discipline as the serving wire protocol
-// (src/serve/wire.h): integers little-endian, doubles as the LE bytes of
-// their IEEE-754 bit pattern, and *strict* decoding. These bytes cross a
-// process boundary, so a short read, a torn frame, or a hostile length word
-// is an expected input, never an abort: every decoder returns a pad::Status
-// and a declared length above `max_payload` poisons the stream (there is no
-// way to resynchronize inside a length-prefixed stream).
+// The frame is the serving wire's frame (src/common/frame_reader.h) whose
+// body starts with a type byte, and payloads are packed with the shared
+// codec (src/common/bytes.h): integers little-endian, doubles as the LE
+// bytes of their IEEE-754 bit pattern, strict decoding through ByteReader.
+// These bytes cross a process boundary, so a short read, a torn frame, or a
+// hostile length word is an expected input, never an abort: every decoder
+// returns a pad::Status, a declared length above `max_payload` poisons the
+// stream with kDataLoss (there is no way to resynchronize inside a
+// length-prefixed stream), and an empty body is kDataLoss.
 //
 // Two read paths, matching the two sides of the pipe:
 //   * RecvIpcFrame — blocking, for a worker whose only job is to wait for
 //     the next assignment;
-//   * IpcChannelReader — incremental pump/next, for the coordinator's poll
+//   * FrameReader + SplitIpcFrame — incremental, for the coordinator's poll
 //     loop over many nonblocking worker fds.
 #ifndef ADPAD_SRC_COMMON_IPC_H_
 #define ADPAD_SRC_COMMON_IPC_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 
@@ -33,7 +34,8 @@ namespace pad {
 
 // Frames longer than this are rejected at the length prefix, before any
 // allocation. Far above any legal message (assignments and completion
-// notices are tens of bytes).
+// notices are tens of bytes). The coordinator's FrameReaders take it as
+// their limit.
 inline constexpr uint32_t kMaxIpcPayload = 1u << 20;
 
 struct IpcMessage {
@@ -54,78 +56,19 @@ StatusOr<IpcSocketPair> CreateIpcSocketPair();
 // Puts the fd into nonblocking mode (the coordinator side of a channel).
 Status SetNonBlocking(int fd);
 
-// ---------------------------------------------------------------------------
-// Payload packing. Append-only writers over a std::string; the strict
-// bounds-checked parser mirrors them. Doubles round-trip through their IEEE
-// bits so a digest shipped through a frame compares bit-exactly.
-
-void IpcPutU32(std::string* out, uint32_t value);
-void IpcPutU64(std::string* out, uint64_t value);
-void IpcPutI64(std::string* out, int64_t value);
-void IpcPutF64(std::string* out, double value);
-// [u32 length][bytes] — for diagnostics text.
-void IpcPutString(std::string* out, std::string_view value);
-
-class IpcParser {
- public:
-  explicit IpcParser(std::string_view payload) : data_(payload) {}
-
-  uint32_t GetU32();
-  uint64_t GetU64();
-  int64_t GetI64();
-  double GetF64();
-  std::string GetString();
-
-  // True while every read so far was in bounds.
-  bool ok() const { return ok_; }
-  // True when all reads were in bounds and the payload is fully consumed —
-  // a trailing-garbage frame is as malformed as a short one.
-  bool Finished() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  bool Need(size_t bytes);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
-// Frame I/O.
-
 // Writes one complete frame, retrying on EINTR and partial writes. Uses
 // send(MSG_NOSIGNAL) so a peer that died mid-run surfaces as a Status
 // (kUnavailable), never SIGPIPE.
 Status SendIpcFrame(int fd, uint8_t type, std::string_view payload);
 
+// Splits a frame body into its type byte and payload. An empty body (a
+// zero length word) has no type byte: kDataLoss.
+StatusOr<IpcMessage> SplitIpcFrame(std::string_view body);
+
 // Blocking receive of one complete frame. kUnavailable with message
 // "peer closed" marks clean EOF (the other end exited); any other
 // kUnavailable is a transport error; kDataLoss is a hostile length word.
 StatusOr<IpcMessage> RecvIpcFrame(int fd, uint32_t max_payload = kMaxIpcPayload);
-
-// Incremental frame assembly over a nonblocking fd for the coordinator's
-// poll loop: Pump() after poll says readable, then drain Next() until it
-// reports no complete message. An oversized length prefix poisons the
-// reader permanently, like serve's FrameReader.
-class IpcChannelReader {
- public:
-  explicit IpcChannelReader(uint32_t max_payload = kMaxIpcPayload)
-      : max_payload_(max_payload) {}
-
-  // Reads whatever bytes are available. Returns kUnavailable with message
-  // "peer closed" on EOF; OK on EAGAIN (nothing to read right now).
-  Status Pump(int fd);
-
-  // Pops the next complete message; *have = false when more bytes are
-  // needed. Fails (and stays failed) on an oversized length prefix.
-  Status Next(IpcMessage* message, bool* have);
-
- private:
-  uint32_t max_payload_;
-  std::string buffer_;
-  size_t consumed_ = 0;  // Prefix of buffer_ already handed out.
-  Status poison_;        // First fatal framing error, sticky.
-};
 
 }  // namespace pad
 

@@ -4,12 +4,15 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
+#include "src/common/bytes.h"
 #include "src/core/sweep.h"
 
 namespace pad {
@@ -40,91 +43,10 @@ uint32_t Crc32(const char* data, size_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian field serialization. Doubles round-trip through their IEEE
-// bits, so a restored metric is bit-identical to the one simulated — the
-// byte-identity contract depends on this.
-
-class ByteWriter {
- public:
-  void PutU8(uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void PutU32(uint32_t value) {
-    for (int byte = 0; byte < 4; ++byte) {
-      buffer_.push_back(static_cast<char>((value >> (8 * byte)) & 0xffu));
-    }
-  }
-  void PutU64(uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      buffer_.push_back(static_cast<char>((value >> (8 * byte)) & 0xffull));
-    }
-  }
-  void PutI64(int64_t value) { PutU64(static_cast<uint64_t>(value)); }
-  void PutF64(double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    PutU64(bits);
-  }
-
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-class ByteReader {
- public:
-  ByteReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  uint8_t GetU8() { return static_cast<uint8_t>(Next(1) ? data_[pos_++] : 0); }
-  uint32_t GetU32() {
-    if (!Next(4)) {
-      return 0;
-    }
-    uint32_t value = 0;
-    for (int byte = 0; byte < 4; ++byte) {
-      value |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_++])) << (8 * byte);
-    }
-    return value;
-  }
-  uint64_t GetU64() {
-    if (!Next(8)) {
-      return 0;
-    }
-    uint64_t value = 0;
-    for (int byte = 0; byte < 8; ++byte) {
-      value |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_++])) << (8 * byte);
-    }
-    return value;
-  }
-  int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-  double GetF64() {
-    const uint64_t bits = GetU64();
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  // True when every read so far was in bounds and the payload is spent.
-  bool Finished() const { return ok_ && pos_ == size_; }
-  bool ok() const { return ok_; }
-
- private:
-  bool Next(size_t bytes) {
-    if (!ok_ || size_ - pos_ < bytes) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
-// Record payloads. Field order mirrors sweep.cc's Digest::Mix so anyone
-// auditing byte-identity reads the same field list in both places.
+// Record payloads, in the shared little-endian codec (src/common/bytes.h).
+// Doubles round-trip through their IEEE bits, so a restored metric is
+// bit-identical to the one simulated — the byte-identity contract depends on
+// this. The result blocks follow ForEachField's field list (metrics.h).
 
 constexpr uint8_t kHeaderRecord = 1;
 constexpr uint8_t kMarketRecord = 2;
@@ -132,109 +54,37 @@ constexpr uint8_t kMarketRecord = 2;
 // the reader to allocate gigabytes. Market records are ~1 KiB.
 constexpr uint32_t kMaxPayloadBytes = 1u << 20;
 
-void PutEnergy(ByteWriter& out, const EnergyBreakdown& energy) {
-  for (const CategoryEnergy& category : energy.radio.by_category) {
-    out.PutF64(category.transfer_j);
-    out.PutF64(category.tail_j);
-    out.PutF64(category.bytes);
-    out.PutI64(category.transfers);
-  }
-  out.PutF64(energy.radio.promo_time_s);
-  out.PutF64(energy.radio.active_time_s);
-  out.PutF64(energy.radio.tail_time_s);
-  out.PutF64(energy.local_j);
+// Every result field is a double or an int64_t.
+void PutField(std::string* out, double value) { PutF64(out, value); }
+void PutField(std::string* out, int64_t value) { PutI64(out, value); }
+void GetField(ByteReader& in, double* value) { *value = in.GetF64(); }
+void GetField(ByteReader& in, int64_t* value) { *value = in.GetI64(); }
+
+template <typename Result>
+void PutResult(std::string* out, const Result& result) {
+  ForEachField(result, [out](auto field) { PutField(out, field); });
 }
 
-void GetEnergy(ByteReader& in, EnergyBreakdown* energy) {
-  for (CategoryEnergy& category : energy->radio.by_category) {
-    category.transfer_j = in.GetF64();
-    category.tail_j = in.GetF64();
-    category.bytes = in.GetF64();
-    category.transfers = in.GetI64();
-  }
-  energy->radio.promo_time_s = in.GetF64();
-  energy->radio.active_time_s = in.GetF64();
-  energy->radio.tail_time_s = in.GetF64();
-  energy->local_j = in.GetF64();
-}
-
-void PutLedger(ByteWriter& out, const LedgerTotals& ledger) {
-  out.PutI64(ledger.sold);
-  out.PutI64(ledger.billed);
-  out.PutI64(ledger.violated);
-  out.PutI64(ledger.excess_displays);
-  out.PutI64(ledger.displays);
-  out.PutF64(ledger.billed_revenue);
-  out.PutF64(ledger.violated_value);
-}
-
-void GetLedger(ByteReader& in, LedgerTotals* ledger) {
-  ledger->sold = in.GetI64();
-  ledger->billed = in.GetI64();
-  ledger->violated = in.GetI64();
-  ledger->excess_displays = in.GetI64();
-  ledger->displays = in.GetI64();
-  ledger->billed_revenue = in.GetF64();
-  ledger->violated_value = in.GetF64();
-}
-
-void PutService(ByteWriter& out, const ServiceStats& service) {
-  out.PutI64(service.slots);
-  out.PutI64(service.served_from_cache);
-  out.PutI64(service.fallback_fetches);
-  out.PutI64(service.unfilled);
-  out.PutI64(service.expired_cache_drops);
-}
-
-void GetService(ByteReader& in, ServiceStats* service) {
-  service->slots = in.GetI64();
-  service->served_from_cache = in.GetI64();
-  service->fallback_fetches = in.GetI64();
-  service->unfilled = in.GetI64();
-  service->expired_cache_drops = in.GetI64();
-}
-
-void PutFaults(ByteWriter& out, const FaultStats& faults) {
-  out.PutI64(faults.reports_dropped);
-  out.PutI64(faults.reports_delayed);
-  out.PutI64(faults.stale_windows);
-  out.PutI64(faults.fetch_failures);
-  out.PutI64(faults.fetch_retries);
-  out.PutI64(faults.bundles_abandoned);
-  out.PutI64(faults.syncs_missed);
-  out.PutI64(faults.offline_epochs);
-  out.PutI64(faults.offline_fetch_misses);
-  out.PutI64(faults.offline_violations);
-}
-
-void GetFaults(ByteReader& in, FaultStats* faults) {
-  faults->reports_dropped = in.GetI64();
-  faults->reports_delayed = in.GetI64();
-  faults->stale_windows = in.GetI64();
-  faults->fetch_failures = in.GetI64();
-  faults->fetch_retries = in.GetI64();
-  faults->bundles_abandoned = in.GetI64();
-  faults->syncs_missed = in.GetI64();
-  faults->offline_epochs = in.GetI64();
-  faults->offline_fetch_misses = in.GetI64();
-  faults->offline_violations = in.GetI64();
+template <typename Result>
+void GetResult(ByteReader& in, Result* result) {
+  ForEachField(*result, [&in](auto& field) { GetField(in, &field); });
 }
 
 std::string SerializeHeader(const CheckpointHeader& header) {
-  ByteWriter out;
-  out.PutU8(kHeaderRecord);
-  out.PutU32(header.schema_version);
-  out.PutU64(header.config_fingerprint);
-  out.PutU64(header.population_seed);
-  out.PutI64(header.total_users);
-  out.PutU32(static_cast<uint32_t>(header.num_markets));
-  out.PutU8(header.run_baseline ? 1 : 0);
-  out.PutU8(header.event_digests ? 1 : 0);
-  return out.buffer();
+  std::string out;
+  PutU8(&out, kHeaderRecord);
+  PutU32(&out, header.schema_version);
+  PutU64(&out, header.config_fingerprint);
+  PutU64(&out, header.population_seed);
+  PutI64(&out, header.total_users);
+  PutU32(&out, static_cast<uint32_t>(header.num_markets));
+  PutU8(&out, header.run_baseline ? 1 : 0);
+  PutU8(&out, header.event_digests ? 1 : 0);
+  return out;
 }
 
-bool ParseHeader(const char* data, size_t size, CheckpointHeader* header) {
-  ByteReader in(data, size);
+bool ParseHeader(std::string_view payload, CheckpointHeader* header) {
+  ByteReader in(payload);
   if (in.GetU8() != kHeaderRecord) {
     return false;
   }
@@ -249,38 +99,22 @@ bool ParseHeader(const char* data, size_t size, CheckpointHeader* header) {
 }
 
 std::string SerializeMarket(const MarketRecord& record) {
-  ByteWriter out;
-  out.PutU8(kMarketRecord);
-  out.PutU32(static_cast<uint32_t>(record.market));
-  out.PutI64(record.sessions);
-  out.PutU64(record.pad_digest);
-  out.PutU64(record.baseline_digest);
-  out.PutU64(record.event_digest);
-  out.PutF64(record.generate_seconds);
-  out.PutF64(record.simulate_seconds);
-
-  PutEnergy(out, record.baseline.energy);
-  PutLedger(out, record.baseline.ledger);
-  PutService(out, record.baseline.service);
-  out.PutF64(record.baseline.scored_days);
-
-  PutEnergy(out, record.pad.energy);
-  PutLedger(out, record.pad.ledger);
-  PutService(out, record.pad.service);
-  out.PutF64(record.pad.scored_days);
-  for (const CalibrationBucket& bucket : record.pad.calibration) {
-    out.PutI64(bucket.planned);
-    out.PutI64(bucket.delivered);
-    out.PutF64(bucket.sum_predicted);
-  }
-  out.PutI64(record.pad.impressions_dispatched);
-  out.PutI64(record.pad.impressions_sold);
-  PutFaults(out, record.pad.faults);
-  return out.buffer();
+  std::string out;
+  PutU8(&out, kMarketRecord);
+  PutU32(&out, static_cast<uint32_t>(record.market));
+  PutI64(&out, record.sessions);
+  PutU64(&out, record.pad_digest);
+  PutU64(&out, record.baseline_digest);
+  PutU64(&out, record.event_digest);
+  PutF64(&out, record.generate_seconds);
+  PutF64(&out, record.simulate_seconds);
+  PutResult(&out, record.baseline);
+  PutResult(&out, record.pad);
+  return out;
 }
 
-bool ParseMarket(const char* data, size_t size, MarketRecord* record) {
-  ByteReader in(data, size);
+bool ParseMarket(std::string_view payload, MarketRecord* record) {
+  ByteReader in(payload);
   if (in.GetU8() != kMarketRecord) {
     return false;
   }
@@ -291,37 +125,20 @@ bool ParseMarket(const char* data, size_t size, MarketRecord* record) {
   record->event_digest = in.GetU64();
   record->generate_seconds = in.GetF64();
   record->simulate_seconds = in.GetF64();
-
-  GetEnergy(in, &record->baseline.energy);
-  GetLedger(in, &record->baseline.ledger);
-  GetService(in, &record->baseline.service);
-  record->baseline.scored_days = in.GetF64();
-
-  GetEnergy(in, &record->pad.energy);
-  GetLedger(in, &record->pad.ledger);
-  GetService(in, &record->pad.service);
-  record->pad.scored_days = in.GetF64();
-  for (CalibrationBucket& bucket : record->pad.calibration) {
-    bucket.planned = in.GetI64();
-    bucket.delivered = in.GetI64();
-    bucket.sum_predicted = in.GetF64();
-  }
-  record->pad.impressions_dispatched = in.GetI64();
-  record->pad.impressions_sold = in.GetI64();
-  GetFaults(in, &record->pad.faults);
+  GetResult(in, &record->baseline);
+  GetResult(in, &record->pad);
   return in.Finished();
 }
 
 // ---------------------------------------------------------------------------
-// Config fingerprint.
+// Config fingerprint: FNV-1a over each knob's 8-byte encoding. A string
+// mixes its length, then each char as a u64; a bool mixes as 0/1. Existing
+// journals resume only while this order and these encodings hold
+// (ConfigFingerprintTest.ValuesArePinned).
 
 class Fingerprint {
  public:
-  Fingerprint& Mix(double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return MixU64(bits);
-  }
+  Fingerprint& Mix(double value) { return MixU64(std::bit_cast<uint64_t>(value)); }
   Fingerprint& Mix(int64_t value) { return MixU64(static_cast<uint64_t>(value)); }
   Fingerprint& Mix(int value) { return Mix(static_cast<int64_t>(value)); }
   Fingerprint& Mix(bool value) { return Mix(static_cast<int64_t>(value ? 1 : 0)); }
@@ -338,14 +155,11 @@ class Fingerprint {
 
  private:
   Fingerprint& MixU64(uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (bits >> (8 * byte)) & 0xffull;
-      hash_ *= 0x100000001b3ull;  // FNV-1a prime.
-    }
+    hash_ = FnvFoldU64(hash_, bits);
     return *this;
   }
 
-  uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset.
+  uint64_t hash_ = kFnvOffset;
 };
 
 void MixRadio(Fingerprint& fp, const RadioProfile& radio) {
@@ -512,10 +326,11 @@ CheckpointWriter::~CheckpointWriter() {
 }
 
 Status CheckpointWriter::WriteFrame(const std::string& payload) {
-  ByteWriter frame;
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutU32(Crc32(payload.data(), payload.size()));
-  std::string bytes = frame.buffer() + payload;
+  std::string bytes;
+  bytes.reserve(8 + payload.size());
+  PutU32(&bytes, static_cast<uint32_t>(payload.size()));
+  PutU32(&bytes, Crc32(payload.data(), payload.size()));
+  bytes += payload;
   // One write per record: a crash tears at most the record being written,
   // never an earlier one, so the valid prefix is exactly the fsync'd records.
   size_t written = 0;
@@ -577,7 +392,7 @@ StatusOr<CheckpointContents> ReadCheckpoint(const std::string& path) {
       contents.truncation_reason = "torn frame header";
       break;
     }
-    ByteReader frame(data.data() + pos, 8);
+    ByteReader frame(std::string_view(data).substr(pos, 8));
     const uint32_t payload_len = frame.GetU32();
     const uint32_t stored_crc = frame.GetU32();
     if (payload_len > kMaxPayloadBytes) {
@@ -588,15 +403,15 @@ StatusOr<CheckpointContents> ReadCheckpoint(const std::string& path) {
       contents.truncation_reason = "torn record payload";
       break;
     }
-    const char* payload = data.data() + pos + 8;
-    if (Crc32(payload, payload_len) != stored_crc) {
+    const std::string_view payload = std::string_view(data).substr(pos + 8, payload_len);
+    if (Crc32(payload.data(), payload.size()) != stored_crc) {
       contents.truncation_reason = "record CRC mismatch";
       break;
     }
 
     if (first_record) {
       CheckpointHeader header;
-      if (!ParseHeader(payload, payload_len, &header)) {
+      if (!ParseHeader(payload, &header)) {
         contents.truncation_reason = "malformed header record";
         break;
       }
@@ -611,7 +426,7 @@ StatusOr<CheckpointContents> ReadCheckpoint(const std::string& path) {
       first_record = false;
     } else {
       MarketRecord record;
-      if (!ParseMarket(payload, payload_len, &record)) {
+      if (!ParseMarket(payload, &record)) {
         contents.truncation_reason = "malformed market record";
         break;
       }

@@ -1,6 +1,6 @@
 #include "src/core/event_log.h"
 
-#include <cstring>
+#include <bit>
 #include <ostream>
 
 #include "src/common/check.h"
@@ -37,27 +37,16 @@ const char* SimEventTypeName(SimEventType type) {
 
 namespace {
 
-// FNV-1a over each field's bytes, little-endian (never whole-struct bytes:
-// padding is indeterminate and would poison the hash).
+// FNV-1a over each field's 8 little-endian bytes (never whole-struct bytes:
+// padding is indeterminate and would poison the hash). client_id is
+// sign-extended, so the market events' -1 folds as eight 0xff bytes.
 uint64_t FoldEvent(uint64_t hash, const SimEvent& event) {
-  const auto mix = [&hash](uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffull;
-      hash *= 0x100000001b3ull;
-    }
-  };
-  const auto mix_double = [&mix](double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  mix_double(event.time);
-  mix(static_cast<uint64_t>(event.type));
-  mix(static_cast<uint64_t>(event.impression_id));
-  mix(static_cast<uint64_t>(event.campaign_id));
-  mix(static_cast<uint64_t>(static_cast<int64_t>(event.client_id)));
-  mix_double(event.value);
-  return hash;
+  hash = FnvFoldU64(hash, std::bit_cast<uint64_t>(event.time));
+  hash = FnvFoldU64(hash, static_cast<uint64_t>(event.type));
+  hash = FnvFoldU64(hash, static_cast<uint64_t>(event.impression_id));
+  hash = FnvFoldU64(hash, static_cast<uint64_t>(event.campaign_id));
+  hash = FnvFoldU64(hash, static_cast<uint64_t>(static_cast<int64_t>(event.client_id)));
+  return FnvFoldU64(hash, std::bit_cast<uint64_t>(event.value));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/auction/ledger_observer.h"
+#include "src/common/bytes.h"
 
 namespace pad {
 
@@ -109,7 +110,7 @@ class EventLog : public LedgerObserver {
   bool retain_events_ = true;
   std::vector<SimEvent> events_;
   std::array<int64_t, kNumSimEventTypes> counts_{};
-  uint64_t digest_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
+  uint64_t digest_ = kFnvOffset;
 };
 
 }  // namespace pad

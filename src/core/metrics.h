@@ -5,7 +5,9 @@
 #define ADPAD_SRC_CORE_METRICS_H_
 
 #include <array>
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 
 #include "src/auction/ledger.h"
 #include "src/radio/machine.h"
@@ -119,6 +121,91 @@ struct PadRunResult {
   // Folds another shard's result into this one (see BaselineResult::Merge).
   void Merge(const PadRunResult& other);
 };
+
+// ---------------------------------------------------------------------------
+// The one field list of each result type. ForEachField(result, visit) calls
+// visit(field) on every scalar field, each a double or an int64_t, in a fixed
+// order. That order is both MetricsDigest's mixing order (src/core/sweep.cc)
+// and the checkpoint journal's byte layout (src/core/checkpoint.cc): FNV-1a
+// over a journal's encoded result block equals the result's digest.
+// Reordering, adding or removing a line here moves every golden digest and
+// strands every journal on disk. `result` may be const (encoding, digesting)
+// or mutable (decoding into it).
+
+template <typename T, typename Struct>
+concept FieldsOf = std::same_as<std::remove_const_t<T>, Struct>;
+
+template <FieldsOf<EnergyBreakdown> Energy, typename Visit>
+void ForEachField(Energy& energy, Visit&& visit) {
+  for (auto& category : energy.radio.by_category) {
+    visit(category.transfer_j);
+    visit(category.tail_j);
+    visit(category.bytes);
+    visit(category.transfers);
+  }
+  visit(energy.radio.promo_time_s);
+  visit(energy.radio.active_time_s);
+  visit(energy.radio.tail_time_s);
+  visit(energy.local_j);
+}
+
+template <FieldsOf<LedgerTotals> Ledger, typename Visit>
+void ForEachField(Ledger& ledger, Visit&& visit) {
+  visit(ledger.sold);
+  visit(ledger.billed);
+  visit(ledger.violated);
+  visit(ledger.excess_displays);
+  visit(ledger.displays);
+  visit(ledger.billed_revenue);
+  visit(ledger.violated_value);
+}
+
+template <FieldsOf<ServiceStats> Service, typename Visit>
+void ForEachField(Service& service, Visit&& visit) {
+  visit(service.slots);
+  visit(service.served_from_cache);
+  visit(service.fallback_fetches);
+  visit(service.unfilled);
+  visit(service.expired_cache_drops);
+}
+
+template <FieldsOf<FaultStats> Faults, typename Visit>
+void ForEachField(Faults& faults, Visit&& visit) {
+  visit(faults.reports_dropped);
+  visit(faults.reports_delayed);
+  visit(faults.stale_windows);
+  visit(faults.fetch_failures);
+  visit(faults.fetch_retries);
+  visit(faults.bundles_abandoned);
+  visit(faults.syncs_missed);
+  visit(faults.offline_epochs);
+  visit(faults.offline_fetch_misses);
+  visit(faults.offline_violations);
+}
+
+template <FieldsOf<BaselineResult> Result, typename Visit>
+void ForEachField(Result& result, Visit&& visit) {
+  ForEachField(result.energy, visit);
+  ForEachField(result.ledger, visit);
+  ForEachField(result.service, visit);
+  visit(result.scored_days);
+}
+
+template <FieldsOf<PadRunResult> Result, typename Visit>
+void ForEachField(Result& result, Visit&& visit) {
+  ForEachField(result.energy, visit);
+  ForEachField(result.ledger, visit);
+  ForEachField(result.service, visit);
+  visit(result.scored_days);
+  for (auto& bucket : result.calibration) {
+    visit(bucket.planned);
+    visit(bucket.delivered);
+    visit(bucket.sum_predicted);
+  }
+  visit(result.impressions_dispatched);
+  visit(result.impressions_sold);
+  ForEachField(result.faults, visit);
+}
 
 // Paired baseline/PAD run on the same trace and campaign stream.
 struct Comparison {

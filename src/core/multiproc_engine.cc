@@ -5,7 +5,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,8 +18,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/check.h"
+#include "src/common/frame_reader.h"
 #include "src/common/ipc.h"
+#include "src/common/sockio.h"
 #include "src/core/checkpoint.h"
 #include "src/core/pad_simulation.h"
 #include "src/trace/generator.h"
@@ -29,7 +31,7 @@ namespace pad {
 namespace {
 
 // Message types on a coordinator<->worker channel. The payload layouts are
-// fixed and strict (IpcParser::Finished is required): these frames cross a
+// fixed and strict (ByteReader::Finished is required): these frames cross a
 // process boundary, so a malformed one is data loss, not a crash.
 enum IpcMsgType : uint8_t {
   kMsgHello = 1,     // worker -> coord: journal open, ready.  [u32 worker]
@@ -40,19 +42,6 @@ enum IpcMsgType : uint8_t {
                      //   [u32 status_code][string message]
   kMsgShutdown = 5,  // coord -> worker: exit cleanly.         []
 };
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// CPU time of the calling thread — the worker ships each market's cost on
-// this clock so per-worker sums measure load balance and CPU-fair speedup
-// even when workers outnumber cores (same clock the in-process engine uses).
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 // ---------------------------------------------------------------------------
 // SIGCHLD -> self-pipe, so worker death wakes the coordinator's poll loop
@@ -76,16 +65,16 @@ void SigchldHandler(int) {
 
 Status SendWorkerError(int fd, const Status& status) {
   std::string payload;
-  IpcPutU32(&payload, static_cast<uint32_t>(status.code()));
-  IpcPutString(&payload, status.message());
+  PutU32(&payload, static_cast<uint32_t>(status.code()));
+  PutString(&payload, status.message());
   return SendIpcFrame(fd, kMsgError, payload);
 }
 
 Status SendWorkerDone(int fd, uint32_t market, uint64_t pad_digest, double busy_s) {
   std::string payload;
-  IpcPutU32(&payload, market);
-  IpcPutU64(&payload, pad_digest);
-  IpcPutF64(&payload, busy_s);
+  PutU32(&payload, market);
+  PutU64(&payload, pad_digest);
+  PutF64(&payload, busy_s);
   return SendIpcFrame(fd, kMsgDone, payload);
 }
 
@@ -109,7 +98,7 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
   ResumedJournal journal = *std::move(journal_or);
 
   std::string hello;
-  IpcPutU32(&hello, static_cast<uint32_t>(worker));
+  PutU32(&hello, static_cast<uint32_t>(worker));
   if (!SendIpcFrame(fd, kMsgHello, hello).ok()) {
     return ExitCodeFor(Status::Unavailable("coordinator closed"));
   }
@@ -141,7 +130,7 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
       (void)SendWorkerError(fd, status);
       return ExitCodeFor(status);
     }
-    IpcParser parser(message->payload);
+    ByteReader parser(message->payload);
     const uint32_t market = parser.GetU32();
     if (!parser.Finished() || market >= static_cast<uint32_t>(num_markets)) {
       const Status status = Status::DataLoss("malformed ASSIGN frame");
@@ -278,7 +267,7 @@ struct WorkerSlot {
   int index = -1;
   pid_t pid = -1;
   int fd = -1;  // Coordinator end, nonblocking. -1 once closed.
-  IpcChannelReader reader;
+  FrameReader reader{kMaxIpcPayload};
   bool ready = false;          // Hello received.
   bool alive = true;           // Not yet reaped.
   bool channel_open = true;    // EOF/transport error not yet seen.
@@ -472,7 +461,7 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         return Status::Ok();
       }
       case kMsgDone: {
-        IpcParser parser(message.payload);
+        ByteReader parser(message.payload);
         const uint32_t market = parser.GetU32();
         const uint64_t digest = parser.GetU64();
         const double busy_s = parser.GetF64();
@@ -502,7 +491,7 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         return Status::Ok();
       }
       case kMsgError: {
-        IpcParser parser(message.payload);
+        ByteReader parser(message.payload);
         const uint32_t code = parser.GetU32();
         const std::string text = parser.GetString();
         if (!parser.Finished() || code > static_cast<uint32_t>(StatusCode::kInternal)) {
@@ -526,19 +515,31 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
     if (w.fd < 0 || !w.channel_open) {
       return Status::Ok();
     }
-    if (const Status status = w.reader.Pump(w.fd); !status.ok()) {
-      if (status.code() != StatusCode::kUnavailable) {
-        return status;  // Framing corruption: fatal.
+    char chunk[4096];
+    while (true) {
+      const ssize_t n = ReadSome(w.fd, chunk, sizeof(chunk));
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        break;  // Nothing more to read right now.
       }
-      w.channel_open = false;  // EOF/transport: fall through and drain the buffer.
+      if (n <= 0) {
+        w.channel_open = false;  // EOF/transport: fall through and drain the buffer.
+        break;
+      }
+      // Fails only once the reader is poisoned: framing corruption is fatal.
+      PAD_RETURN_IF_ERROR(w.reader.Append(std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(chunk), static_cast<size_t>(n))));
+      if (static_cast<size_t>(n) < sizeof(chunk)) {
+        break;  // Drained what was available.
+      }
     }
     while (true) {
-      IpcMessage message;
+      std::string body;
       bool have = false;
-      PAD_RETURN_IF_ERROR(w.reader.Next(&message, &have));
+      PAD_RETURN_IF_ERROR(w.reader.Next(&body, &have));
       if (!have) {
         return Status::Ok();
       }
+      PAD_ASSIGN_OR_RETURN(const IpcMessage message, SplitIpcFrame(body));
       PAD_RETURN_IF_ERROR(handle_message(w, message));
     }
   };
@@ -636,7 +637,7 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         return;  // Nothing fits until an outstanding market completes.
       }
       std::string payload;
-      IpcPutU32(&payload, static_cast<uint32_t>(chosen));
+      PutU32(&payload, static_cast<uint32_t>(chosen));
       if (!SendIpcFrame(w.fd, kMsgAssign, payload).ok()) {
         w.channel_open = false;  // Dying worker; the reap path requeues.
         continue;

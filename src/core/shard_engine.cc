@@ -80,20 +80,6 @@ PadConfig MarketConfig(const PadConfig& aligned, int market, int64_t lo, int64_t
   return config;
 }
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// CPU time consumed by the calling thread. Per-market costs are measured on
-// this clock so per-worker sums report true load balance even when workers
-// outnumber cores and wall clock would charge preemption to whoever held the
-// core last.
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 // Per-lane progress slot the watchdog thread polls: which market the lane is
 // inside and since when (milliseconds from engine start; -1 = idle).
 struct LaneWatch {
@@ -124,6 +110,16 @@ CheckpointHeader JournalHeaderFor(const PadConfig& aligned, int num_markets, boo
   header.run_baseline = run_baseline;
   header.event_digests = event_digests;
   return header;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>& boundaries,

@@ -46,6 +46,7 @@
 #define ADPAD_SRC_CORE_SHARD_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -212,6 +213,16 @@ CheckpointHeader JournalHeaderFor(const PadConfig& aligned, int num_markets, boo
 MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>& boundaries,
                             int market, PopulationStream& stream, bool run_baseline,
                             bool event_digests);
+
+// Seconds of steady-clock time since `start`.
+double SecondsSince(std::chrono::steady_clock::time_point start);
+
+// CPU time consumed by the calling thread. Both engines measure each
+// market's cost on this clock — a lane thread here, a forked worker in
+// multiproc_engine.h — so per-worker sums report true load balance even when
+// workers outnumber cores and wall clock would charge preemption to whoever
+// held the core last.
+double ThreadCpuSeconds();
 
 // Folds completed market records (slot m holds market m's record iff its
 // .market == m; untouched slots keep the default -1) in market-index order —

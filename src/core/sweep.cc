@@ -1,8 +1,9 @@
 #include "src/core/sweep.h"
 
 #include <atomic>
-#include <cstring>
+#include <bit>
 
+#include "src/common/bytes.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/task_scheduler.h"
@@ -10,73 +11,22 @@
 namespace pad {
 namespace {
 
-// FNV-1a, 64-bit.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+// Folds one result field as FNV-1a over its 8-byte encoding (an int64's two's
+// complement, a double's IEEE bits), the bytes the checkpoint journal writes
+// for it.
+uint64_t FoldField(uint64_t hash, double value) {
+  return FnvFoldU64(hash, std::bit_cast<uint64_t>(value));
+}
+uint64_t FoldField(uint64_t hash, int64_t value) {
+  return FnvFoldU64(hash, static_cast<uint64_t>(value));
+}
 
-class Digest {
- public:
-  Digest& Mix(double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return MixU64(bits);
-  }
-  Digest& Mix(int64_t value) { return MixU64(static_cast<uint64_t>(value)); }
-
-  Digest& Mix(const CategoryEnergy& energy) {
-    return Mix(energy.transfer_j).Mix(energy.tail_j).Mix(energy.bytes).Mix(energy.transfers);
-  }
-  Digest& Mix(const EnergyBreakdown& energy) {
-    for (const CategoryEnergy& category : energy.radio.by_category) {
-      Mix(category);
-    }
-    return Mix(energy.radio.promo_time_s)
-        .Mix(energy.radio.active_time_s)
-        .Mix(energy.radio.tail_time_s)
-        .Mix(energy.local_j);
-  }
-  Digest& Mix(const LedgerTotals& ledger) {
-    return Mix(ledger.sold)
-        .Mix(ledger.billed)
-        .Mix(ledger.violated)
-        .Mix(ledger.excess_displays)
-        .Mix(ledger.displays)
-        .Mix(ledger.billed_revenue)
-        .Mix(ledger.violated_value);
-  }
-  Digest& Mix(const FaultStats& faults) {
-    return Mix(faults.reports_dropped)
-        .Mix(faults.reports_delayed)
-        .Mix(faults.stale_windows)
-        .Mix(faults.fetch_failures)
-        .Mix(faults.fetch_retries)
-        .Mix(faults.bundles_abandoned)
-        .Mix(faults.syncs_missed)
-        .Mix(faults.offline_epochs)
-        .Mix(faults.offline_fetch_misses)
-        .Mix(faults.offline_violations);
-  }
-  Digest& Mix(const ServiceStats& service) {
-    return Mix(service.slots)
-        .Mix(service.served_from_cache)
-        .Mix(service.fallback_fetches)
-        .Mix(service.unfilled)
-        .Mix(service.expired_cache_drops);
-  }
-
-  uint64_t value() const { return hash_; }
-
- private:
-  Digest& MixU64(uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (bits >> (8 * byte)) & 0xffull;
-      hash_ *= kFnvPrime;
-    }
-    return *this;
-  }
-
-  uint64_t hash_ = kFnvOffset;
-};
+template <typename Result>
+uint64_t DigestFields(const Result& result) {
+  uint64_t hash = kFnvOffset;
+  ForEachField(result, [&hash](auto field) { hash = FoldField(hash, field); });
+  return hash;
+}
 
 }  // namespace
 
@@ -127,36 +77,21 @@ std::vector<PadConfig> ReplicateWithSeeds(const PadConfig& base, int n, uint64_t
   return configs;
 }
 
-uint64_t MetricsDigest(const BaselineResult& result) {
-  Digest digest;
-  digest.Mix(result.energy).Mix(result.ledger).Mix(result.service).Mix(result.scored_days);
-  return digest.value();
-}
+uint64_t MetricsDigest(const BaselineResult& result) { return DigestFields(result); }
 
-uint64_t MetricsDigest(const PadRunResult& result) {
-  Digest digest;
-  digest.Mix(result.energy).Mix(result.ledger).Mix(result.service).Mix(result.scored_days);
-  for (const CalibrationBucket& bucket : result.calibration) {
-    digest.Mix(bucket.planned).Mix(bucket.delivered).Mix(bucket.sum_predicted);
-  }
-  digest.Mix(result.impressions_dispatched).Mix(result.impressions_sold);
-  digest.Mix(result.faults);
-  return digest.value();
-}
+uint64_t MetricsDigest(const PadRunResult& result) { return DigestFields(result); }
 
 uint64_t ComparisonDigest(const Comparison& comparison) {
-  Digest digest;
-  digest.Mix(static_cast<int64_t>(MetricsDigest(comparison.baseline)))
-      .Mix(static_cast<int64_t>(MetricsDigest(comparison.pad)));
-  return digest.value();
+  const uint64_t hash = FnvFoldU64(kFnvOffset, MetricsDigest(comparison.baseline));
+  return FnvFoldU64(hash, MetricsDigest(comparison.pad));
 }
 
 uint64_t DigestCombine(std::span<const uint64_t> digests) {
-  Digest digest;
+  uint64_t hash = kFnvOffset;
   for (uint64_t value : digests) {
-    digest.Mix(static_cast<int64_t>(value));
+    hash = FnvFoldU64(hash, value);
   }
-  return digest.value();
+  return hash;
 }
 
 }  // namespace pad

@@ -57,9 +57,10 @@ std::vector<PadRunResult> RunPadMany(std::span<const PadConfig> configs,
 // must see an independent trace and market.
 std::vector<PadConfig> ReplicateWithSeeds(const PadConfig& base, int n, uint64_t base_seed);
 
-// FNV-1a digests over every field of a result, field by field (never raw
-// struct bytes — padding is indeterminate). Two runs are byte-identical iff
-// their digests match; the equivalence tests compare these.
+// FNV-1a digests over every field of a result, field by field in
+// ForEachField's order (metrics.h), never raw struct bytes — padding is
+// indeterminate. Two runs are byte-identical iff their digests match; the
+// equivalence tests compare these.
 uint64_t MetricsDigest(const BaselineResult& result);
 uint64_t MetricsDigest(const PadRunResult& result);
 uint64_t ComparisonDigest(const Comparison& comparison);

@@ -1,51 +1,17 @@
 #include "src/serve/wire.h"
 
-#include <cmath>
-#include <cstring>
+#include <string_view>
+
+#include "src/common/bytes.h"
 
 namespace pad {
 namespace {
 
-void PutU32(uint32_t value, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(uint64_t value, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutDouble(double value, std::string* out) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(bits, out);
-}
-
-uint32_t GetU32(std::span<const uint8_t> bytes, size_t offset) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | bytes[offset + static_cast<size_t>(i)];
-  }
-  return value;
-}
-
-uint64_t GetU64(std::span<const uint8_t> bytes, size_t offset) {
-  uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | bytes[offset + static_cast<size_t>(i)];
-  }
-  return value;
-}
-
-double GetDouble(std::span<const uint8_t> bytes, size_t offset) {
-  const uint64_t bits = GetU64(bytes, offset);
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+// A codec reader over `payload` from byte `offset` on (callers have checked
+// the payload's size first).
+ByteReader ReaderFrom(std::span<const uint8_t> payload, size_t offset) {
+  return ByteReader(std::string_view(reinterpret_cast<const char*>(payload.data()) + offset,
+                                     payload.size() - offset));
 }
 
 Status CheckHeader(std::span<const uint8_t> payload, uint8_t expected_type) {
@@ -68,25 +34,25 @@ Status CheckHeader(std::span<const uint8_t> payload, uint8_t expected_type) {
 std::string EncodeRequestPayload(const WireRequest& request) {
   std::string out;
   out.reserve(kRequestPayloadBytes);
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(kFrameRequest));
-  PutU64(request.client_id, &out);
-  PutU32(request.slot_count, &out);
-  PutDouble(request.deadline_s, &out);
+  PutU8(&out, kWireVersion);
+  PutU8(&out, kFrameRequest);
+  PutU64(&out, request.client_id);
+  PutU32(&out, request.slot_count);
+  PutF64(&out, request.deadline_s);
   return out;
 }
 
 std::string EncodeResponsePayload(const WireResponse& response) {
   std::string out;
   out.reserve(kResponseHeaderBytes + response.ads.size() * kResponseAdBytes);
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(kFrameResponse));
-  out.push_back(static_cast<char>(response.status));
-  out.push_back(static_cast<char>(response.decision));
-  PutU32(static_cast<uint32_t>(response.ads.size()), &out);
+  PutU8(&out, kWireVersion);
+  PutU8(&out, kFrameResponse);
+  PutU8(&out, static_cast<uint8_t>(response.status));
+  PutU8(&out, static_cast<uint8_t>(response.decision));
+  PutU32(&out, static_cast<uint32_t>(response.ads.size()));
   for (const WireAd& ad : response.ads) {
-    PutU64(static_cast<uint64_t>(ad.campaign_id), &out);
-    PutDouble(ad.price_usd, &out);
+    PutI64(&out, ad.campaign_id);
+    PutF64(&out, ad.price_usd);
   }
   return out;
 }
@@ -94,7 +60,7 @@ std::string EncodeResponsePayload(const WireResponse& response) {
 namespace {
 
 void AppendFrame(const std::string& payload, std::string* out) {
-  PutU32(static_cast<uint32_t>(payload.size()), out);
+  PutU32(out, static_cast<uint32_t>(payload.size()));
   out->append(payload);
 }
 
@@ -114,10 +80,11 @@ StatusOr<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload) {
     return Status::InvalidArgument("request payload is " + std::to_string(payload.size()) +
                                    " bytes, expected " + std::to_string(kRequestPayloadBytes));
   }
+  ByteReader in = ReaderFrom(payload, 2);
   WireRequest request;
-  request.client_id = GetU64(payload, 2);
-  request.slot_count = GetU32(payload, 10);
-  request.deadline_s = GetDouble(payload, 14);
+  request.client_id = in.GetU64();
+  request.slot_count = in.GetU32();
+  request.deadline_s = in.GetF64();
   return request;
 }
 
@@ -135,7 +102,8 @@ StatusOr<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload) {
   if (decision > static_cast<uint8_t>(DecisionKind::kRealtime)) {
     return Status::InvalidArgument("unknown decision kind " + std::to_string(decision));
   }
-  const uint32_t ad_count = GetU32(payload, 4);
+  ByteReader in = ReaderFrom(payload, 4);
+  const uint32_t ad_count = in.GetU32();
   const size_t expected = kResponseHeaderBytes + static_cast<size_t>(ad_count) * kResponseAdBytes;
   if (payload.size() != expected) {
     return Status::InvalidArgument("response declares " + std::to_string(ad_count) +
@@ -147,70 +115,12 @@ StatusOr<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload) {
   response.decision = static_cast<DecisionKind>(decision);
   response.ads.reserve(ad_count);
   for (uint32_t i = 0; i < ad_count; ++i) {
-    const size_t offset = kResponseHeaderBytes + static_cast<size_t>(i) * kResponseAdBytes;
     WireAd ad;
-    ad.campaign_id = static_cast<int64_t>(GetU64(payload, offset));
-    ad.price_usd = GetDouble(payload, offset + 8);
+    ad.campaign_id = in.GetI64();
+    ad.price_usd = in.GetF64();
     response.ads.push_back(ad);
   }
   return response;
-}
-
-Status FrameReader::Append(std::span<const uint8_t> data) {
-  if (!poison_.ok()) {
-    return poison_;
-  }
-  buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
-  return Status::Ok();
-}
-
-bool FrameReader::HasFrame() const {
-  if (!poison_.ok()) {
-    return true;
-  }
-  const size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) {
-    return false;
-  }
-  const auto* base = reinterpret_cast<const uint8_t*>(buffer_.data()) + consumed_;
-  const uint32_t length = GetU32(std::span<const uint8_t>(base, kFrameHeaderBytes), 0);
-  if (length > max_payload_) {
-    return true;  // Next() will poison and report; that counts as progress.
-  }
-  return available >= kFrameHeaderBytes + length;
-}
-
-Status FrameReader::Next(std::string* payload, bool* have) {
-  *have = false;
-  payload->clear();
-  if (!poison_.ok()) {
-    return poison_;
-  }
-  // Reclaim consumed prefix lazily, only when it dominates the buffer, so a
-  // burst of pipelined frames does not memmove per frame.
-  if (consumed_ > 0 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  const size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) {
-    return Status::Ok();
-  }
-  const auto* base = reinterpret_cast<const uint8_t*>(buffer_.data()) + consumed_;
-  const uint32_t length = GetU32(std::span<const uint8_t>(base, kFrameHeaderBytes), 0);
-  if (length > max_payload_) {
-    poison_ = Status::InvalidArgument("frame payload of " + std::to_string(length) +
-                                      " bytes exceeds the " + std::to_string(max_payload_) +
-                                      "-byte limit");
-    return poison_;
-  }
-  if (available < kFrameHeaderBytes + length) {
-    return Status::Ok();
-  }
-  payload->assign(buffer_, consumed_ + kFrameHeaderBytes, length);
-  consumed_ += kFrameHeaderBytes + length;
-  *have = true;
-  return Status::Ok();
 }
 
 }  // namespace pad

@@ -17,8 +17,10 @@
 //   [i64 campaign_id] [f64 price_usd]
 //
 // All integers are little-endian; doubles travel as the little-endian bytes
-// of their IEEE-754 bit pattern, so a round trip is bit-exact and the
-// serving-equivalence tests can compare encoded responses byte for byte.
+// of their IEEE-754 bit pattern (the shared codec, src/common/bytes.h), so a
+// round trip is bit-exact and the serving-equivalence tests can compare
+// encoded responses byte for byte. Connections are cut into frames by the
+// shared FrameReader (src/common/frame_reader.h).
 //
 // Decoding is strict — wrong version, wrong type, or a payload whose length
 // disagrees with its declared shape is a pad::Status error, never an abort:
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/frame_reader.h"
 #include "src/common/status.h"
 
 namespace pad {
@@ -41,12 +44,6 @@ inline constexpr uint8_t kWireVersion = 1;
 inline constexpr uint8_t kFrameRequest = 1;
 inline constexpr uint8_t kFrameResponse = 2;
 
-// Frames longer than this are rejected at the length prefix, before any
-// allocation: a corrupt or hostile length word must not become a 4 GiB
-// buffer. Far above any legal message (a maximal response is < 64 KiB).
-inline constexpr size_t kMaxFramePayload = 64 * 1024;
-
-inline constexpr size_t kFrameHeaderBytes = 4;   // The u32 length prefix.
 inline constexpr size_t kRequestPayloadBytes = 2 + 8 + 4 + 8;
 inline constexpr size_t kResponseHeaderBytes = 2 + 1 + 1 + 4;
 inline constexpr size_t kResponseAdBytes = 8 + 8;
@@ -100,40 +97,6 @@ void AppendResponseFrame(const WireResponse& response, std::string* out);
 // Strict payload decoders. Errors are kInvalidArgument naming the defect.
 StatusOr<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload);
 StatusOr<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload);
-
-// Incremental frame assembly for a nonblocking socket: feed whatever bytes
-// arrived, pop complete payloads. A declared payload length above
-// `max_payload` poisons the reader permanently (the stream is garbage from
-// that point on; resynchronizing inside a length-prefixed stream is
-// guesswork) — every later call returns the same error.
-class FrameReader {
- public:
-  explicit FrameReader(size_t max_payload = kMaxFramePayload)
-      : max_payload_(max_payload) {}
-
-  // Buffers `data`. Only fails once the reader is poisoned.
-  Status Append(std::span<const uint8_t> data);
-
-  // Pops the next complete payload into `*payload` and sets `*have = true`,
-  // or sets `*have = false` when more bytes are needed. Fails (and poisons)
-  // on an oversized length prefix.
-  Status Next(std::string* payload, bool* have);
-
-  // Bytes buffered but not yet returned (partial frame).
-  size_t pending_bytes() const { return buffer_.size() - consumed_; }
-
-  // Whether Next() would make progress right now — a complete frame is
-  // buffered, or the reader is (or is about to be) poisoned. False means
-  // only "more bytes needed". Lets a caller that paused decoding (read
-  // backpressure) know to resume without popping anything.
-  bool HasFrame() const;
-
- private:
-  size_t max_payload_;
-  std::string buffer_;
-  size_t consumed_ = 0;  // Prefix of buffer_ already handed out.
-  Status poison_;        // First fatal framing error, sticky.
-};
 
 }  // namespace pad
 

@@ -18,10 +18,12 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/core/checkpoint.h"
 #include "src/core/multiproc_engine.h"
 #include "src/core/shard_engine.h"
@@ -71,11 +73,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 uint32_t ReadU32At(const std::string& bytes, size_t pos) {
-  uint32_t value = 0;
-  for (int byte = 0; byte < 4; ++byte) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + byte])) << (8 * byte);
-  }
-  return value;
+  return ByteReader(std::string_view(bytes).substr(pos, 4)).GetU32();
 }
 
 std::vector<size_t> FrameBoundaries(const std::string& bytes) {

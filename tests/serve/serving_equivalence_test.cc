@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/serve/ad_server.h"
 #include "src/serve/latency_histogram.h"
 #include "src/serve/load_gen.h"
@@ -216,9 +217,7 @@ TEST_F(ServingEquivalenceTest, MalformedFrameGetsBadRequestThenClose) {
     std::string payload = EncodeRequestPayload(WireRequest{0, 1, 60.0});
     payload[0] = 9;
     std::string frame;
-    for (int i = 0; i < 4; ++i) {
-      frame.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xffu));
-    }
+    PutU32(&frame, static_cast<uint32_t>(payload.size()));
     frame += payload;
     ASSERT_TRUE(client.Send(frame));
     std::string response_payload;
