@@ -93,11 +93,6 @@ std::string OptionsFromArgv(int argc, char** argv, HotPathOptions* options) {
   return "";
 }
 
-// Digest halves as doubles: every uint32 is exactly representable, so the
-// JSON round-trip and the compare are bit-precise.
-double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
-double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
-
 int Run(const HotPathOptions& hot, bench::BenchJson& json) {
   PadConfig config = bench::StandardConfig(static_cast<int>(hot.users));
   config.population.horizon_s = hot.days * kDay;
@@ -140,20 +135,22 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
   table.AddRow({"sessions", std::to_string(result.total_sessions)});
   table.AddRow({"wall time", FormatDouble(best_wall_s, 2) + " s"});
   table.AddRow({"throughput", FormatDouble(users_per_s, 1) + " users/s"});
-  table.AddRow({"pad digest", FormatDouble(Hi(result.combined_pad_digest), 0) + " / " +
-                                  FormatDouble(Lo(result.combined_pad_digest), 0)});
-  table.AddRow({"event digest", FormatDouble(Hi(result.combined_event_digest), 0) + " / " +
-                                    FormatDouble(Lo(result.combined_event_digest), 0)});
+  const auto halves = [](uint64_t digest) {
+    return FormatDouble(bench::DigestHi(digest), 0) + " / " +
+           FormatDouble(bench::DigestLo(digest), 0);
+  };
+  table.AddRow({"pad digest", halves(result.combined_pad_digest)});
+  table.AddRow({"event digest", halves(result.combined_event_digest)});
   table.Print(std::cout);
 
   json.Add("users_per_sec", users_per_s, "users/s", label);
   json.Add("sessions", static_cast<double>(result.total_sessions), "count", label);
-  json.Add("pad_digest_hi", Hi(result.combined_pad_digest), "u32", label);
-  json.Add("pad_digest_lo", Lo(result.combined_pad_digest), "u32", label);
-  json.Add("baseline_digest_hi", Hi(result.combined_baseline_digest), "u32", label);
-  json.Add("baseline_digest_lo", Lo(result.combined_baseline_digest), "u32", label);
-  json.Add("event_digest_hi", Hi(result.combined_event_digest), "u32", label);
-  json.Add("event_digest_lo", Lo(result.combined_event_digest), "u32", label);
+  json.Add("pad_digest_hi", bench::DigestHi(result.combined_pad_digest), "u32", label);
+  json.Add("pad_digest_lo", bench::DigestLo(result.combined_pad_digest), "u32", label);
+  json.Add("baseline_digest_hi", bench::DigestHi(result.combined_baseline_digest), "u32", label);
+  json.Add("baseline_digest_lo", bench::DigestLo(result.combined_baseline_digest), "u32", label);
+  json.Add("event_digest_hi", bench::DigestHi(result.combined_event_digest), "u32", label);
+  json.Add("event_digest_lo", bench::DigestLo(result.combined_event_digest), "u32", label);
   return 0;
 }
 

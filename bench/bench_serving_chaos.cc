@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/bytes.h"
 #include "src/serve/ad_server.h"
 #include "src/serve/latency_histogram.h"
 #include "src/serve/load_gen.h"
@@ -83,17 +84,6 @@ struct LevelResult {
   double p50_us = 0.0, p99_us = 0.0, p999_us = 0.0;
   double goodput_rps = 0.0;
 };
-
-uint64_t Fnv1a(const std::string& bytes, uint64_t hash) {
-  for (const char byte : bytes) {
-    hash ^= static_cast<uint8_t>(byte);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
-double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 // Replays every reconnect segment of every connection against DecideBatch:
 // the server must have decided exactly the answered requests of that
@@ -202,9 +192,9 @@ int RunLevel(const DecisionEngine& engine, const ChaosBenchOptions& bench,
   // plan cut each stream, so every level pins its own digest.
   uint64_t digest = 0;
   for (const auto& connection : report.captured_frames) {
-    uint64_t connection_digest = 14695981039346656037ull;
+    uint64_t connection_digest = kFnvOffset;
     for (const auto& frame : connection) {
-      connection_digest = Fnv1a(frame.payload, connection_digest);
+      connection_digest = FnvFoldBytes(connection_digest, frame.payload);
     }
     digest += connection_digest;
   }
@@ -275,8 +265,9 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
   }
   table.Print(std::cout);
   for (const LevelResult& level : results) {
-    std::cout << "decision digest (" << level.name << "): " << FormatDouble(Hi(level.digest), 0)
-              << " / " << FormatDouble(Lo(level.digest), 0) << "\n";
+    std::cout << "decision digest (" << level.name
+              << "): " << FormatDouble(bench::DigestHi(level.digest), 0) << " / "
+              << FormatDouble(bench::DigestLo(level.digest), 0) << "\n";
   }
 
   for (const LevelResult& level : results) {
@@ -292,8 +283,8 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
     json.Add("abandoned", static_cast<double>(report.abandoned), "count", label);
     json.Add("errors", static_cast<double>(report.errors), "count", label);
     json.Add("shed", static_cast<double>(report.shed), "count", label);
-    json.Add("decision_digest_hi", Hi(level.digest), "u32", label);
-    json.Add("decision_digest_lo", Lo(level.digest), "u32", label);
+    json.Add("decision_digest_hi", bench::DigestHi(level.digest), "u32", label);
+    json.Add("decision_digest_lo", bench::DigestLo(level.digest), "u32", label);
     // Wall-clock rows: reported, never gated.
     json.Add("p50_us", level.p50_us, "us", label);
     json.Add("p99_us", level.p99_us, "us", label);

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "src/common/bytes.h"
 #include "src/serve/ad_server.h"
 #include "src/serve/latency_histogram.h"
 #include "src/serve/load_gen.h"
@@ -51,17 +52,6 @@ ServingBenchOptions OptionsFromArgv(int argc, char** argv) {
   }
   return options;
 }
-
-uint64_t Fnv1a(const std::string& bytes, uint64_t hash) {
-  for (const char byte : bytes) {
-    hash ^= static_cast<uint8_t>(byte);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
-double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   const std::string label = "users=" + std::to_string(serving.users) +
@@ -109,9 +99,9 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   int64_t bundles = 0;
   int64_t decided = 0;
   for (const std::vector<std::string>& connection : report.captured) {
-    uint64_t connection_digest = 14695981039346656037ull;
+    uint64_t connection_digest = kFnvOffset;
     for (const std::string& payload : connection) {
-      connection_digest = Fnv1a(payload, connection_digest);
+      connection_digest = FnvFoldBytes(connection_digest, payload);
       ++decided;
       const StatusOr<WireResponse> response = DecodeResponsePayload(std::span<const uint8_t>(
           reinterpret_cast<const uint8_t*>(payload.data()), payload.size()));
@@ -140,8 +130,8 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   table.AddRow({"wall time", FormatDouble(report.wall_s, 2) + " s"});
   table.AddRow({"throughput", FormatDouble(report.qps, 0) + " qps"});
   table.AddRow({"bundle fraction", bench::Pct(bundle_fraction)});
-  table.AddRow({"decision digest", FormatDouble(Hi(digest), 0) + " / " +
-                                       FormatDouble(Lo(digest), 0)});
+  table.AddRow({"decision digest", FormatDouble(bench::DigestHi(digest), 0) + " / " +
+                                       FormatDouble(bench::DigestLo(digest), 0)});
   table.Print(std::cout);
 
   if (report.errors != 0 || report.shed != 0 ||
@@ -159,8 +149,8 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   json.Add("shed", static_cast<double>(report.shed), "count", label);
   json.Add("errors", static_cast<double>(report.errors), "count", label);
   json.Add("bundle_fraction", bundle_fraction, "fraction", label);
-  json.Add("decision_digest_hi", Hi(digest), "u32", label);
-  json.Add("decision_digest_lo", Lo(digest), "u32", label);
+  json.Add("decision_digest_hi", bench::DigestHi(digest), "u32", label);
+  json.Add("decision_digest_lo", bench::DigestLo(digest), "u32", label);
   return 0;
 }
 

@@ -10,6 +10,7 @@
 #ifndef ADPAD_BENCH_BENCH_UTIL_H_
 #define ADPAD_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -69,6 +70,12 @@ inline SweepOptions SweepOptionsFromArgv(int argc, char** argv) {
 inline std::string Pct(double fraction, int precision = 1) {
   return FormatDouble(100.0 * fraction, precision) + "%";
 }
+
+// A 64-bit digest's halves as doubles for BenchRow JSON: every uint32 is
+// exactly representable, so the JSON round trip and the compare are
+// bit-precise.
+inline double DigestHi(uint64_t digest) { return static_cast<double>(digest >> 32); }
+inline double DigestLo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 // Machine-readable output: `--json <path>` makes the harness also write its
 // results as BenchRow JSON (src/common/bench_baseline.h). Collect rows while
