@@ -2,8 +2,9 @@
 //
 // Every place this repo touches a socket — the serving event loop
 // (src/serve/ad_server.cc), the load generator (src/serve/load_gen.cc), and
-// the multi-process coordinator's IPC framing (src/common/ipc.cc) — needs
-// the same three facts handled correctly, every time:
+// the multi-process IPC channels (src/common/ipc.cc and the coordinator's
+// read loop in src/core/multiproc_engine.cc) — needs the same three facts
+// handled correctly, every time:
 //
 //   * EINTR is not an error. Any signal (SIGCHLD from a reaped worker, a
 //     profiler's SIGPROF) can interrupt a blocked or even a ready syscall;
