@@ -35,7 +35,6 @@
 
 #include "bench/bench_util.h"
 #include "src/common/check.h"
-#include "src/core/multiproc_engine.h"
 #include "src/core/shard_engine.h"
 
 namespace pad {
@@ -87,15 +86,14 @@ EngineRun RunAtProcessCount(const PadConfig& config, int processes,
   // A leftover journal would replay markets instead of simulating them and
   // fake the timing; every measured run starts from a clean file.
   std::remove(journal.c_str());
-  MultiprocEngineOptions options;
+  ShardEngineOptions options;
   options.processes = processes;
-  options.engine.event_digests = false;
-  options.engine.checkpoint_path = journal;
-  PAD_CHECK(ValidateMultiprocOptions(config, options).empty());
+  options.event_digests = false;
+  options.checkpoint_path = journal;
 
   EngineRun run;
   const auto start = std::chrono::steady_clock::now();
-  StatusOr<ShardedComparison> result = RunMultiprocSharded(config, options);
+  StatusOr<ShardedComparison> result = RunShardedResumable(config, options);
   run.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   PAD_CHECK_MSG(result.ok(), result.status().ToString().c_str());

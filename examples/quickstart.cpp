@@ -10,7 +10,7 @@
 
 #include "src/common/stats.h"
 #include "src/common/table.h"
-#include "src/core/pad_simulation.h"
+#include "src/core/shard_engine.h"
 
 int main() {
   using namespace pad;

@@ -424,15 +424,6 @@ PadRunResult RunPad(const PadConfig& config, const SimInputs& inputs, EventLog* 
   return RunPad(MakeSimContext(config), inputs, event_log);
 }
 
-Comparison RunComparison(const PadConfig& config) {
-  const SimContext context = MakeSimContext(config);
-  const SimInputs inputs = GenerateInputs(context);
-  Comparison comparison;
-  comparison.baseline = RunBaseline(context, inputs);
-  comparison.pad = RunPad(context, inputs);
-  return comparison;
-}
-
 PadConfig QuickConfig() {
   PadConfig config;
   config.population.num_users = 40;

@@ -50,12 +50,11 @@ PadConfig AlignInputsConfig(const PadConfig& config);
 
 // One validated config plus its derived per-run constants. Every runner
 // entry point used to re-run ValidateConfig on the same config (GenerateInputs,
-// RunBaseline, and RunPad each validated, so RunComparison validated three
-// times); building a SimContext validates exactly once and precomputes the
-// warmup/window/epoch tiling the hot path needs. Aborts (PAD_CHECK) on an
-// invalid config, exactly like the legacy entry points — callers that need a
-// recoverable pad::Status keep validating at their own boundary first (the
-// shard engine does).
+// RunBaseline, and RunPad each validated); building a SimContext validates
+// exactly once and precomputes the warmup/window/epoch tiling the hot path
+// needs. Aborts (PAD_CHECK) on an invalid config, exactly like the legacy
+// entry points — callers that need a recoverable pad::Status keep validating
+// at their own boundary first (the shard engine does).
 struct SimContext {
   PadConfig config;
 
@@ -83,9 +82,6 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs,
                     EventLog* event_log = nullptr);
 PadRunResult RunPad(const PadConfig& config, const SimInputs& inputs,
                     EventLog* event_log = nullptr);
-
-// Convenience: generate inputs, run both, pair the results.
-Comparison RunComparison(const PadConfig& config);
 
 }  // namespace pad
 

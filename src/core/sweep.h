@@ -16,7 +16,9 @@
 // a run, overbooking pools risk across every client of the run's server
 // (E10), so splitting a population is a semantic choice, not an execution
 // one — PadConfig::market_users makes it, and the shard engine
-// (shard_engine.h) runs the resulting markets on the same scheduler.
+// (shard_engine.h) runs the resulting markets on the same scheduler. A
+// RunComparisonMany job is a call into that engine (RunComparison), so its
+// config's market_users partitions it exactly as it would a single run.
 #ifndef ADPAD_SRC_CORE_SWEEP_H_
 #define ADPAD_SRC_CORE_SWEEP_H_
 
@@ -28,6 +30,7 @@
 #include "src/core/event_log.h"
 #include "src/core/metrics.h"
 #include "src/core/pad_simulation.h"
+#include "src/core/shard_engine.h"
 
 namespace pad {
 

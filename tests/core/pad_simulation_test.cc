@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "src/core/shard_engine.h"
 
 namespace pad {
 namespace {

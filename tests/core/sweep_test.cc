@@ -131,6 +131,21 @@ TEST(SweepTest, ReplicateWithSeedsDecorrelatesJobs) {
   EXPECT_NE(ComparisonDigest(results[0]), ComparisonDigest(results[1]));
 }
 
+// market_users partitions a sweep point exactly as it partitions one engine
+// run: the point is the engine's result, not the whole-population one.
+TEST(SweepTest, MarketUsersPartitionsEachPoint) {
+  PadConfig marketed = TinyConfig(40);
+  marketed.market_users = 20;
+  PadConfig whole = marketed;
+  whole.market_users = 0;
+  const std::vector<PadConfig> configs = {marketed, whole};
+  const std::vector<Comparison> results = RunComparisonMany(configs, {.threads = 2});
+  ASSERT_EQ(2u, results.size());
+  EXPECT_EQ(ComparisonDigest(RunShardedComparison(marketed).totals),
+            ComparisonDigest(results[0]));
+  EXPECT_NE(ComparisonDigest(results[1]), ComparisonDigest(results[0]));
+}
+
 TEST(SweepTest, DigestDistinguishesDifferentRuns) {
   PadConfig a = TinyConfig(8);
   PadConfig b = TinyConfig(8);

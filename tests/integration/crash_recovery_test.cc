@@ -424,19 +424,11 @@ TEST(CrashRecoveryTest, WatchdogReportsLongMarkets) {
 // held. The journals carry everything it finished, the coordinator requeues
 // the rest, and the merged result is still byte-identical to the golden.
 
-MultiprocEngineOptions MultiprocOptions(int processes, const std::string& path) {
-  MultiprocEngineOptions options;
+ShardEngineOptions ProcessOptions(int processes, const std::string& path) {
+  ShardEngineOptions options = BaseOptions();
   options.processes = processes;
-  options.engine = BaseOptions();
-  options.engine.checkpoint_path = path;
+  options.checkpoint_path = path;
   return options;
-}
-
-ShardedComparison MustRunMultiproc(const PadConfig& config,
-                                   const MultiprocEngineOptions& options) {
-  StatusOr<ShardedComparison> result = RunMultiprocSharded(config, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return *std::move(result);
 }
 
 TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
@@ -452,7 +444,7 @@ TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
     // Aim a SIGKILL at worker 0 mid-market. The killer thread starts only
     // once the LAST worker is forked, so every fork still happens from a
     // single-threaded coordinator; by then worker 0 is deep in simulation.
-    MultiprocEngineOptions options = MultiprocOptions(2, path);
+    ShardEngineOptions options = ProcessOptions(2, path);
     pid_t victim = -1;
     std::thread killer;
     options.on_worker_spawn = [&](int worker, pid_t pid) {
@@ -467,7 +459,7 @@ TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
         });
       }
     };
-    const ShardedComparison run = MustRunMultiproc(config, options);
+    const ShardedComparison run = MustRun(config, options);
     if (killer.joinable()) {
       killer.join();
     }
@@ -486,13 +478,13 @@ TEST(CrashRecoveryTest, MultiprocWorkerKilledAtSpawnIsAbsorbed) {
 
   // Kill worker 0 straight out of fork — likely before its HELLO, possibly
   // before its journal header. The survivor simulates everything.
-  MultiprocEngineOptions options = MultiprocOptions(2, path);
+  ShardEngineOptions options = ProcessOptions(2, path);
   options.on_worker_spawn = [](int worker, pid_t pid) {
     if (worker == 0) {
       kill(pid, SIGKILL);
     }
   };
-  const ShardedComparison run = MustRunMultiproc(config, options);
+  const ShardedComparison run = MustRun(config, options);
   ExpectSameResult(golden, run);
   EXPECT_EQ(1, run.workers_died);
   EXPECT_FALSE(std::ifstream(WorkerJournalPath(path, 0)).good())
@@ -521,21 +513,21 @@ TEST(CrashRecoveryTest, AllWorkersDeadAbortsThenResumes) {
   // and 3 stay pending, and the engine reports Aborted — the scriptable
   // "worker died, rerun to resume" exit class — rather than tearing down
   // the journal or fabricating a result.
-  MultiprocEngineOptions options = MultiprocOptions(1, path);
+  ShardEngineOptions options = ProcessOptions(1, path);
   options.on_worker_spawn = [](int /*worker*/, pid_t pid) { kill(pid, SIGKILL); };
-  StatusOr<ShardedComparison> aborted = RunMultiprocSharded(config, options);
+  StatusOr<ShardedComparison> aborted = RunShardedResumable(config, options);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(StatusCode::kAborted, aborted.status().code());
   EXPECT_EQ(6, ExitCodeFor(aborted.status()));
 
   // "Rerun the same command to resume": the same multiproc invocation,
   // minus the kill, picks up the two journaled markets and finishes.
-  MultiprocEngineOptions retry = MultiprocOptions(1, path);
-  const ShardedComparison finished = MustRunMultiproc(config, retry);
+  ShardEngineOptions retry = ProcessOptions(1, path);
+  const ShardedComparison finished = MustRun(config, retry);
   EXPECT_EQ(2, finished.resumed_markets);
   ExpectSameResult(golden, finished);
 
-  // And so does the single-process engine, off the same journal.
+  // And so do in-process lanes, off the same journal.
   WriteFileBytes(path, bytes.substr(0, frames[3]));
   ShardEngineOptions single = BaseOptions();
   single.checkpoint_path = path;
@@ -566,7 +558,7 @@ TEST(CrashRecoveryTest, StaleWorkerJournalIsRefusedNotMerged) {
   WriteFileBytes(WorkerJournalPath(path, 0), donor_bytes);
 
   StatusOr<ShardedComparison> refused =
-      RunMultiprocSharded(reseeded, MultiprocOptions(2, path));
+      RunShardedResumable(reseeded, ProcessOptions(2, path));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(StatusCode::kFailedPrecondition, refused.status().code());
   EXPECT_EQ(donor_bytes, ReadFileBytes(WorkerJournalPath(path, 0)))

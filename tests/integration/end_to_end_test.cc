@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pad_simulation.h"
+#include "src/core/shard_engine.h"
 
 namespace pad {
 namespace {

@@ -1,12 +1,11 @@
-// The determinism half of the multi-process engine's contract
-// (src/core/multiproc_engine.h): RunMultiprocSharded is byte-identical to
-// the in-process RunShardedResumable — same totals, same per-market and
-// combined digests — at every worker count, under fault injection and wifi
-// offload, within any residency budget, and across resume in BOTH
-// directions (a multi-process journal finished by the single-process
-// engine and vice versa), because the config fingerprint covers semantic
-// knobs only, never `processes=`. The crash/death half lives in
-// crash_recovery_test.cc.
+// The determinism half of the multi-process executor's contract
+// (src/core/multiproc_engine.h): RunShardedResumable with processes > 0 is
+// byte-identical to the same call on in-process lanes — same totals, same
+// per-market and combined digests — at every worker count, under fault
+// injection and wifi offload, within any residency budget, and across resume
+// in BOTH directions (a multi-process journal finished on lanes and vice
+// versa), because the config fingerprint covers semantic knobs only, never
+// `processes`. The crash/death half lives in crash_recovery_test.cc.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -62,11 +61,10 @@ ShardEngineOptions BaseOptions() {
   return options;
 }
 
-MultiprocEngineOptions MultiprocOptions(int processes, const std::string& path) {
-  MultiprocEngineOptions options;
+ShardEngineOptions ProcessOptions(int processes, const std::string& path) {
+  ShardEngineOptions options = BaseOptions();
   options.processes = processes;
-  options.engine = BaseOptions();
-  options.engine.checkpoint_path = path;
+  options.checkpoint_path = path;
   return options;
 }
 
@@ -87,13 +85,6 @@ void ExpectSameResult(const ShardedComparison& golden, const ShardedComparison& 
 
 ShardedComparison MustRun(const PadConfig& config, const ShardEngineOptions& options) {
   StatusOr<ShardedComparison> result = RunShardedResumable(config, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return *std::move(result);
-}
-
-ShardedComparison MustRunMultiproc(const PadConfig& config,
-                                   const MultiprocEngineOptions& options) {
-  StatusOr<ShardedComparison> result = RunMultiprocSharded(config, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return *std::move(result);
 }
@@ -123,7 +114,7 @@ TEST(MultiprocEquivalenceTest, MatchesSingleProcessAcrossWorkerCounts) {
     const std::string path = TempPath("mp_count_" + std::to_string(processes) + ".ckpt");
     std::remove(path.c_str());
 
-    const ShardedComparison run = MustRunMultiproc(config, MultiprocOptions(processes, path));
+    const ShardedComparison run = MustRun(config, ProcessOptions(processes, path));
     ExpectSameResult(golden, run);
     // Workers are capped at the market count: processes=8 over 4 markets
     // forks 4.
@@ -150,7 +141,7 @@ TEST(MultiprocEquivalenceTest, MatchesUnderFaultInjectionAndWifi) {
     const ShardedComparison golden = MustRun(config, BaseOptions());
     const std::string path = TempPath("mp_variant_" + std::to_string(variant) + ".ckpt");
     std::remove(path.c_str());
-    ExpectSameResult(golden, MustRunMultiproc(config, MultiprocOptions(3, path)));
+    ExpectSameResult(golden, MustRun(config, ProcessOptions(3, path)));
     ExpectNoWorkerJournals(path);
     std::remove(path.c_str());
     ++variant;
@@ -165,9 +156,9 @@ TEST(MultiprocEquivalenceTest, ResidencyBudgetHoldsAcrossProcesses) {
 
   // Budget admits two 30-user markets at once; the coordinator's admission
   // gate must hold the SUM across live workers under it.
-  MultiprocEngineOptions options = MultiprocOptions(3, path);
-  options.engine.max_resident_users = 60;
-  const ShardedComparison run = MustRunMultiproc(config, options);
+  ShardEngineOptions options = ProcessOptions(3, path);
+  options.max_resident_users = 60;
+  const ShardedComparison run = MustRun(config, options);
   ExpectSameResult(golden, run);
   EXPECT_LE(run.peak_resident_users, 60);
   EXPECT_GT(run.peak_resident_users, 0);
@@ -175,20 +166,20 @@ TEST(MultiprocEquivalenceTest, ResidencyBudgetHoldsAcrossProcesses) {
   std::remove(path.c_str());
 }
 
-// The property behind cross-engine resume: ConfigFingerprint covers the
+// The property behind cross-executor resume: ConfigFingerprint covers the
 // semantic config only, so one journal is finishable at ANY process count —
-// including zero extra processes (the in-process engine).
+// including processes = 0 (in-process lanes).
 TEST(MultiprocEquivalenceTest, FingerprintExcludesProcessCount) {
   const PadConfig config = TestConfig();
   const ShardedComparison golden = MustRun(config, BaseOptions());
   const std::string path = TempPath("mp_fingerprint.ckpt");
   std::remove(path.c_str());
 
-  // Complete at processes=2; every later rerun at any engine/process count
+  // Complete at processes=2; every later rerun at any process count
   // must replay all 4 markets from the journal and simulate nothing.
-  ExpectSameResult(golden, MustRunMultiproc(config, MultiprocOptions(2, path)));
+  ExpectSameResult(golden, MustRun(config, ProcessOptions(2, path)));
 
-  const ShardedComparison reread_mp3 = MustRunMultiproc(config, MultiprocOptions(3, path));
+  const ShardedComparison reread_mp3 = MustRun(config, ProcessOptions(3, path));
   EXPECT_EQ(golden.num_markets, reread_mp3.resumed_markets);
   ExpectSameResult(golden, reread_mp3);
 
@@ -199,14 +190,14 @@ TEST(MultiprocEquivalenceTest, FingerprintExcludesProcessCount) {
   ExpectSameResult(golden, reread_single);
   std::remove(path.c_str());
 
-  // Reverse direction: a journal written by the single-process engine is
-  // picked up whole by the multi-process one.
+  // Reverse direction: a journal written on in-process lanes is picked up
+  // whole by forked workers.
   const std::string reverse = TempPath("mp_fingerprint_rev.ckpt");
   std::remove(reverse.c_str());
   ShardEngineOptions writer = BaseOptions();
   writer.checkpoint_path = reverse;
   ExpectSameResult(golden, MustRun(config, writer));
-  const ShardedComparison adopted = MustRunMultiproc(config, MultiprocOptions(4, reverse));
+  const ShardedComparison adopted = MustRun(config, ProcessOptions(4, reverse));
   EXPECT_EQ(golden.num_markets, adopted.resumed_markets);
   ExpectSameResult(golden, adopted);
   std::remove(reverse.c_str());
@@ -221,9 +212,9 @@ TEST(MultiprocEquivalenceTest, PresetStopFlagInterruptsThenResumesToGolden) {
   // Flag pre-set: the coordinator assigns nothing, drains its workers, and
   // reports an interrupted (not failed, not aborted) run.
   std::atomic<bool> stop{true};
-  MultiprocEngineOptions options = MultiprocOptions(2, path);
-  options.engine.stop_requested = &stop;
-  StatusOr<ShardedComparison> stopped = RunMultiprocSharded(config, options);
+  ShardEngineOptions options = ProcessOptions(2, path);
+  options.stop_requested = &stop;
+  StatusOr<ShardedComparison> stopped = RunShardedResumable(config, options);
   ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
   EXPECT_TRUE(stopped->interrupted);
   EXPECT_TRUE(stopped->market_pad_digests.empty());
@@ -231,9 +222,19 @@ TEST(MultiprocEquivalenceTest, PresetStopFlagInterruptsThenResumesToGolden) {
 
   // Clearing the flag and rerunning the same command completes to golden.
   stop.store(false);
-  ExpectSameResult(golden, MustRunMultiproc(config, options));
+  ExpectSameResult(golden, MustRun(config, options));
   ExpectNoWorkerJournals(path);
   std::remove(path.c_str());
+}
+
+// The forwarders perfbench still calls, which hold the process knobs beside
+// the engine options.
+MultiprocEngineOptions MultiprocOptions(int processes, const std::string& path) {
+  MultiprocEngineOptions options;
+  options.processes = processes;
+  options.engine = BaseOptions();
+  options.engine.checkpoint_path = path;
+  return options;
 }
 
 TEST(MultiprocEquivalenceTest, ValidationRejectsBadOptions) {

@@ -10,6 +10,7 @@
 // here means "bit-identical", not "approximately equal".
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/event_log.h"
@@ -270,6 +271,24 @@ TEST(ShardEquivalenceTest, ValidateShardOptionsRejectsBadKnobs) {
   ShardEngineOptions exact;
   exact.max_resident_users = 50;
   EXPECT_EQ("", ValidateShardOptions(marketed, exact));
+
+  // 0 processes means in-process lanes; fewer is meaningless.
+  ShardEngineOptions negative_processes;
+  negative_processes.processes = -1;
+  EXPECT_NE("", ValidateShardOptions(config, negative_processes));
+
+  // Forked workers hand their results back through their journals, so they
+  // need a checkpoint path.
+  ShardEngineOptions forked;
+  forked.processes = 2;
+  EXPECT_NE(std::string::npos,
+            ValidateShardOptions(config, forked).find("requires checkpointing"));
+  forked.checkpoint_path = "run.ckpt";
+  EXPECT_EQ("", ValidateShardOptions(config, forked));
+
+  ShardEngineOptions bad_stall;
+  bad_stall.stall_kill_s = -1.0;
+  EXPECT_NE("", ValidateShardOptions(config, bad_stall));
 }
 
 }  // namespace
