@@ -12,10 +12,10 @@
 // comparison at N users under a resident-memory budget, reporting wall-clock
 // throughput (users/s) and peak RSS; `--threads N` sets the engine's worker
 // lanes. This is the mode that produces the
-// checked-in BENCH_population_scale.json baseline:
+// checked-in BENCH_population_scale.json baseline (one command, wrapped):
 //
-//   $ bench_population_scale --scale_users 1000000 --market_users 2000 \
-//       --max_resident_users 20000 --days 9 --json BENCH_population_scale.json
+//   $ bench_population_scale --scale_users 1000000 --market_users 2000
+//         --max_resident_users 20000 --days 9 --json BENCH_population_scale.json
 //
 // `--checkpoint_overhead` additionally repeats the run with the crash-recovery
 // journal (src/core/checkpoint.h) enabled and reports wall_on/wall_off as the

@@ -1,8 +1,9 @@
-// bench_compare — perf regression gate over two bench JSON files.
+// bench_compare — perf regression gate over two bench JSON files (the
+// second example is one command, wrapped):
 //
 //   $ bench_compare baseline.json candidate.json
-//   $ bench_compare BENCH_population_scale.json /tmp/new.json \
-//       --default_tol 0.05 --tol sold_count=0.10 --ignore users_per_s
+//   $ bench_compare BENCH_population_scale.json /tmp/new.json
+//         --default_tol 0.05 --tol sold_count=0.10 --ignore users_per_s
 //
 // Both files are BenchRow arrays as written by any bench_* harness's
 // `--json <path>` (see src/common/bench_baseline.h). Rows are matched by
