@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "src/common/bytes.h"
 #include "src/core/sweep.h"
@@ -131,148 +132,66 @@ bool ParseMarket(std::string_view payload, MarketRecord* record) {
 }
 
 // ---------------------------------------------------------------------------
-// Config fingerprint: FNV-1a over each knob's 8-byte encoding. A string
-// mixes its length, then each char as a u64; a bool mixes as 0/1. Existing
-// journals resume only while this order and these encodings hold
-// (ConfigFingerprintTest.ValuesArePinned).
+// Config fingerprint: FNV-1a over ForEachKnob's list (config.h), 8 bytes per
+// value: a double's IEEE bits; an integer, bool or enum as an int64; a char
+// unsigned; a string or vector as its size, then each element; a composite as
+// its fields. Existing journals resume only while the list and these
+// encodings hold (ConfigFingerprintTest.ValuesArePinned).
 
 class Fingerprint {
  public:
-  Fingerprint& Mix(double value) { return MixU64(std::bit_cast<uint64_t>(value)); }
-  Fingerprint& Mix(int64_t value) { return MixU64(static_cast<uint64_t>(value)); }
-  Fingerprint& Mix(int value) { return Mix(static_cast<int64_t>(value)); }
-  Fingerprint& Mix(bool value) { return Mix(static_cast<int64_t>(value ? 1 : 0)); }
-  Fingerprint& Mix(uint64_t value) { return MixU64(value); }
-  Fingerprint& Mix(const std::string& value) {
-    Mix(static_cast<int64_t>(value.size()));
-    for (char c : value) {
-      MixU64(static_cast<unsigned char>(c));
-    }
-    return *this;
+  template <typename... T>
+  void Mix(const T&... values) {
+    (MixOne(values), ...);
   }
 
   uint64_t value() const { return hash_; }
 
  private:
-  Fingerprint& MixU64(uint64_t bits) {
-    hash_ = FnvFoldU64(hash_, bits);
-    return *this;
+  template <typename T>
+  void MixOne(const T& value) {
+    if constexpr (std::is_floating_point_v<T>) {
+      hash_ = FnvFoldU64(hash_, std::bit_cast<uint64_t>(value));
+    } else if constexpr (std::is_same_v<T, char>) {
+      hash_ = FnvFoldU64(hash_, static_cast<unsigned char>(value));
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      hash_ = FnvFoldU64(hash_, static_cast<uint64_t>(static_cast<int64_t>(value)));
+    } else {
+      MixOne(value.size());
+      for (const auto& element : value) {
+        MixOne(element);
+      }
+    }
+  }
+  void MixOne(const UserArchetype& a) {
+    Mix(a.name, a.weight, a.sessions_per_day, a.session_duration_mu, a.session_duration_sigma);
+  }
+  void MixOne(const TailPhase& phase) {
+    Mix(phase.name, phase.power_w, phase.duration_s, phase.resume_latency_s);
+  }
+  void MixOne(const RadioProfile& radio) {
+    Mix(radio.name, radio.promo_latency_s, radio.promo_power_w, radio.active_power_w,
+        radio.downlink_bps, radio.uplink_bps, radio.rtt_s, radio.tail);
   }
 
   uint64_t hash_ = kFnvOffset;
 };
-
-void MixRadio(Fingerprint& fp, const RadioProfile& radio) {
-  fp.Mix(radio.name)
-      .Mix(radio.promo_latency_s)
-      .Mix(radio.promo_power_w)
-      .Mix(radio.active_power_w)
-      .Mix(radio.downlink_bps)
-      .Mix(radio.uplink_bps)
-      .Mix(radio.rtt_s)
-      .Mix(static_cast<int64_t>(radio.tail.size()));
-  for (const TailPhase& phase : radio.tail) {
-    fp.Mix(phase.name).Mix(phase.power_w).Mix(phase.duration_s).Mix(phase.resume_latency_s);
-  }
-}
 
 }  // namespace
 
 uint64_t ConfigFingerprint(const PadConfig& config) {
   Fingerprint fp;
   fp.Mix(static_cast<int64_t>(kCheckpointSchemaVersion));
-
-  const PopulationConfig& pop = config.population;
-  fp.Mix(pop.num_users)
-      .Mix(pop.horizon_s)
-      .Mix(pop.num_apps)
-      .Mix(pop.app_zipf_exponent)
-      .Mix(pop.num_segments)
-      .Mix(static_cast<int64_t>(pop.archetypes.size()));
-  for (const UserArchetype& archetype : pop.archetypes) {
-    fp.Mix(archetype.name)
-        .Mix(archetype.weight)
-        .Mix(archetype.sessions_per_day)
-        .Mix(archetype.session_duration_mu)
-        .Mix(archetype.session_duration_sigma);
-  }
-  fp.Mix(pop.rate_spread_sigma)
-      .Mix(pop.phase_jitter_h)
-      .Mix(pop.day_noise_sigma)
-      .Mix(pop.weekend_rate_multiplier)
-      .Mix(pop.weekend_phase_shift_h)
-      .Mix(pop.flat_diurnal)
-      .Mix(pop.min_session_s)
-      .Mix(pop.max_session_s)
-      .Mix(pop.seed);
-  // Mixed only when the skew is active so journals written before the knob
-  // existed (and by skew-free configs since) keep their fingerprints. A
-  // disabled skew cannot change a single draw, so omitting it is exact, not
-  // an approximation.
-  if (pop.skew_heavy_fraction > 0.0) {
-    fp.Mix(pop.skew_heavy_fraction).Mix(pop.skew_rate_multiplier);
-  }
-
-  const CampaignStreamConfig& camp = config.campaigns;
-  fp.Mix(camp.horizon_s)
-      .Mix(camp.arrivals_per_day)
-      .Mix(camp.cpm_mu)
-      .Mix(camp.cpm_sigma)
-      .Mix(camp.target_mu)
-      .Mix(camp.target_sigma)
-      .Mix(camp.display_deadline_s)
-      .Mix(camp.num_segments)
-      .Mix(camp.targeted_fraction)
-      .Mix(camp.segment_selectivity)
-      .Mix(camp.capped_fraction)
-      .Mix(camp.frequency_cap_per_day)
-      .Mix(camp.budgeted_fraction)
-      .Mix(camp.budget_value_multiple)
-      .Mix(camp.seed);
-
-  fp.Mix(config.exchange.reserve_price).Mix(config.exchange.num_segments);
-  fp.Mix(config.planner.sla_target)
-      .Mix(config.planner.max_replicas)
-      .Mix(config.planner.exact_tail)
-      .Mix(config.planner.confidence_discount);
-
-  MixRadio(fp, config.radio);
-  MixRadio(fp, config.wifi_radio);
-  fp.Mix(config.wifi.enabled)
-      .Mix(config.wifi.home_start_h)
-      .Mix(config.wifi.home_end_h)
-      .Mix(config.wifi.jitter_h);
-
-  fp.Mix(config.prediction_window_s)
-      .Mix(config.deadline_s)
-      .Mix(static_cast<int64_t>(config.predictor))
-      .Mix(config.oracle_noise_sigma)
-      .Mix(config.use_noisy_oracle)
-      .Mix(config.overbooking_factor)
-      .Mix(config.candidate_pool)
-      .Mix(config.random_candidates)
-      .Mix(config.inventory_control)
-      .Mix(config.capacity_confidence)
-      .Mix(config.invalidation_sync)
-      .Mix(config.invalidation_bytes)
-      .Mix(config.rescue_enabled)
-      .Mix(config.rescue_horizon_s)
-      .Mix(config.rescue_threshold)
-      .Mix(config.max_slot_rate_per_s)
-      .Mix(config.ad_bytes)
-      .Mix(config.slot_report_bytes);
-
-  const FaultConfig& faults = config.faults;
-  fp.Mix(faults.report_drop_rate)
-      .Mix(faults.report_delay_rate)
-      .Mix(faults.fetch_failure_rate)
-      .Mix(faults.fetch_max_retries)
-      .Mix(faults.sync_miss_rate)
-      .Mix(faults.offline_rate)
-      .Mix(faults.offline_window_s)
-      .Mix(faults.stale_decay);
-
-  fp.Mix(config.warmup_days).Mix(config.market_users).Mix(config.seed);
+  // The skew pair is mixed only while the skew is on, so journals written
+  // before the knob existed (and by skew-free configs since) keep their
+  // fingerprints. A disabled skew cannot change a single draw, so omitting
+  // it is exact, not an approximation.
+  const bool skew_on = config.population.skew_heavy_fraction > 0.0;
+  ForEachKnob(config, [&](std::string_view name, const auto& field, const KnobRange&) {
+    if (skew_on || !name.starts_with("population.skew_")) {
+      fp.Mix(field);
+    }
+  });
   return fp.value();
 }
 

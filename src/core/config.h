@@ -4,8 +4,11 @@
 #define ADPAD_SRC_CORE_CONFIG_H_
 
 #include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "src/auction/campaign.h"
 #include "src/auction/exchange.h"
@@ -43,8 +46,8 @@ struct PadConfig {
   double deadline_s = 3.0 * kHour;
   // Predictor driving the slot estimates.
   PredictorKind predictor = PredictorKind::kTimeOfDay;
-  // > 0 replaces the trained predictor with a noisy oracle of this sigma
-  // (the E11 instrument).
+  // use_noisy_oracle replaces the trained predictor with a noisy oracle of
+  // this sigma, which must then be >= 0 (the E11 instrument).
   double oracle_noise_sigma = -1.0;
   bool use_noisy_oracle = false;
 
@@ -130,13 +133,121 @@ struct PadConfig {
 // harnesses scale it up.
 PadConfig QuickConfig();
 
-// Validates every knob of the config that can be checked without the
-// generated inputs (rates in range, window divides a day, deadline positive,
-// fault knobs sane, ...). Returns the empty string when valid, otherwise a
-// one-line description naming the offending knob. The runners call this at
-// entry so a nonsensical config fails with a clear message instead of
-// tripping a CHECK deep in the run; tools should call it themselves and
-// surface the message.
+// A knob's valid values: finite numbers from `low` to `high`, each bound
+// excluded when it is open. The default range takes any finite value.
+struct KnobRange {
+  double low = -std::numeric_limits<double>::infinity();
+  double high = std::numeric_limits<double>::infinity();
+  bool low_open = false;
+  bool high_open = false;
+
+  static constexpr KnobRange Any() { return {}; }
+  static constexpr KnobRange Positive() { return {.low = 0.0, .low_open = true}; }
+  static constexpr KnobRange AtLeast(double low) { return {.low = low}; }
+  static constexpr KnobRange Closed(double low, double high) { return {.low = low, .high = high}; }
+  static constexpr KnobRange Unit() { return Closed(0.0, 1.0); }
+  static constexpr KnobRange OpenUnit() { return {0.0, 1.0, true, true}; }
+};
+
+// The one list of PadConfig's knobs, in ConfigFingerprint's mixing order:
+// ForEachKnob(config, visit) calls visit(dotted_name, field, range) once per
+// field. ValidateConfig holds each arithmetic field to its range; bools, the
+// predictor and the composites take Any(). Reordering, adding or removing a
+// line moves every fingerprint and strands every journal on disk
+// (ConfigFingerprintTest.ValuesArePinned). `config` may be const or mutable.
+template <typename Config, typename Visit>
+  requires std::same_as<std::remove_const_t<Config>, PadConfig>
+void ForEachKnob(Config& config, Visit&& visit) {
+  using R = KnobRange;
+  auto& pop = config.population;
+  visit("population.num_users", pop.num_users, R::AtLeast(1.0));
+  visit("population.horizon_s", pop.horizon_s, R::Positive());
+  visit("population.num_apps", pop.num_apps, R::Any());
+  visit("population.app_zipf_exponent", pop.app_zipf_exponent, R::Any());
+  visit("population.num_segments", pop.num_segments, R::Closed(1.0, kMaxSegments));
+  visit("population.archetypes", pop.archetypes, R::Any());
+  visit("population.rate_spread_sigma", pop.rate_spread_sigma, R::Any());
+  visit("population.phase_jitter_h", pop.phase_jitter_h, R::Any());
+  visit("population.day_noise_sigma", pop.day_noise_sigma, R::Any());
+  visit("population.weekend_rate_multiplier", pop.weekend_rate_multiplier, R::Any());
+  visit("population.weekend_phase_shift_h", pop.weekend_phase_shift_h, R::Any());
+  visit("population.flat_diurnal", pop.flat_diurnal, R::Any());
+  visit("population.min_session_s", pop.min_session_s, R::Any());
+  visit("population.max_session_s", pop.max_session_s, R::Any());
+  visit("population.seed", pop.seed, R::Any());
+  visit("population.skew_heavy_fraction", pop.skew_heavy_fraction, R::Unit());
+  visit("population.skew_rate_multiplier", pop.skew_rate_multiplier, R::Positive());
+
+  auto& camp = config.campaigns;
+  visit("campaigns.horizon_s", camp.horizon_s, R::Any());
+  visit("campaigns.arrivals_per_day", camp.arrivals_per_day, R::Positive());
+  visit("campaigns.cpm_mu", camp.cpm_mu, R::Any());
+  visit("campaigns.cpm_sigma", camp.cpm_sigma, R::Any());
+  visit("campaigns.target_mu", camp.target_mu, R::Any());
+  visit("campaigns.target_sigma", camp.target_sigma, R::Any());
+  visit("campaigns.display_deadline_s", camp.display_deadline_s, R::Any());
+  visit("campaigns.num_segments", camp.num_segments, R::Any());
+  visit("campaigns.targeted_fraction", camp.targeted_fraction, R::Unit());
+  visit("campaigns.segment_selectivity", camp.segment_selectivity, R::Unit());
+  visit("campaigns.capped_fraction", camp.capped_fraction, R::Unit());
+  visit("campaigns.frequency_cap_per_day", camp.frequency_cap_per_day, R::Any());
+  visit("campaigns.budgeted_fraction", camp.budgeted_fraction, R::Unit());
+  visit("campaigns.budget_value_multiple", camp.budget_value_multiple, R::Any());
+  visit("campaigns.seed", camp.seed, R::Any());
+
+  visit("exchange.reserve_price", config.exchange.reserve_price, R::AtLeast(0.0));
+  visit("exchange.num_segments", config.exchange.num_segments, R::Any());
+  visit("planner.sla_target", config.planner.sla_target, R::OpenUnit());
+  visit("planner.max_replicas", config.planner.max_replicas, R::AtLeast(1.0));
+  visit("planner.exact_tail", config.planner.exact_tail, R::Any());
+  visit("planner.confidence_discount", config.planner.confidence_discount, R{0.0, 1.0, true});
+
+  visit("radio", config.radio, R::Any());
+  visit("wifi_radio", config.wifi_radio, R::Any());
+  visit("wifi.enabled", config.wifi.enabled, R::Any());
+  visit("wifi.home_start_h", config.wifi.home_start_h, R::Any());
+  visit("wifi.home_end_h", config.wifi.home_end_h, R::Any());
+  visit("wifi.jitter_h", config.wifi.jitter_h, R::Any());
+
+  visit("prediction_window_s", config.prediction_window_s, R::Positive());
+  visit("deadline_s", config.deadline_s, R::Positive());
+  visit("predictor", config.predictor, R::Any());
+  visit("oracle_noise_sigma", config.oracle_noise_sigma, R::Any());
+  visit("use_noisy_oracle", config.use_noisy_oracle, R::Any());
+  visit("overbooking_factor", config.overbooking_factor, R::Any());
+  visit("candidate_pool", config.candidate_pool, R::AtLeast(0.0));
+  visit("random_candidates", config.random_candidates, R::AtLeast(0.0));
+  visit("inventory_control", config.inventory_control, R::Any());
+  visit("capacity_confidence", config.capacity_confidence, R::OpenUnit());
+  visit("invalidation_sync", config.invalidation_sync, R::Any());
+  visit("invalidation_bytes", config.invalidation_bytes, R::AtLeast(0.0));
+  visit("rescue_enabled", config.rescue_enabled, R::Any());
+  visit("rescue_horizon_s", config.rescue_horizon_s, R::Any());
+  visit("rescue_threshold", config.rescue_threshold, R::Unit());
+  visit("max_slot_rate_per_s", config.max_slot_rate_per_s, R::Positive());
+  visit("ad_bytes", config.ad_bytes, R::Positive());
+  visit("slot_report_bytes", config.slot_report_bytes, R::AtLeast(0.0));
+
+  auto& faults = config.faults;
+  visit("faults.report_drop_rate", faults.report_drop_rate, R::Unit());
+  visit("faults.report_delay_rate", faults.report_delay_rate, R::Unit());
+  visit("faults.fetch_failure_rate", faults.fetch_failure_rate, R::Unit());
+  visit("faults.fetch_max_retries", faults.fetch_max_retries, R::AtLeast(0.0));
+  visit("faults.sync_miss_rate", faults.sync_miss_rate, R::Unit());
+  visit("faults.offline_rate", faults.offline_rate, R::Unit());
+  visit("faults.offline_window_s", faults.offline_window_s, R::Any());
+  visit("faults.stale_decay", faults.stale_decay, R::Unit());
+
+  visit("warmup_days", config.warmup_days, R::AtLeast(0.0));
+  visit("market_users", config.market_users, R::AtLeast(0.0));
+  visit("seed", config.seed, R::Any());
+}
+
+// Checks each knob against its range in ForEachKnob, then the rules that tie
+// knobs together. Returns the empty string when valid, otherwise one line
+// naming the offending knob. The runners call this at entry so a nonsensical
+// config fails with a clear message instead of tripping a CHECK deep in the
+// run; tools should call it themselves and surface the message.
 std::string ValidateConfig(const PadConfig& config);
 
 }  // namespace pad

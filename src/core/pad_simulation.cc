@@ -287,7 +287,6 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
 
     std::unique_ptr<SlotPredictor> predictor;
     if (config.use_noisy_oracle) {
-      PAD_CHECK(config.oracle_noise_sigma >= 0.0);
       predictor = std::make_unique<NoisyOraclePredictor>(
           series.counts, config.oracle_noise_sigma,
           config.seed ^ (0x5eedull + static_cast<uint64_t>(user.user_id)));

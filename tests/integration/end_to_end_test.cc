@@ -100,9 +100,9 @@ TEST(EndToEndTest, OracleBeatsRealPredictor) {
 TEST(EndToEndTest, PredictionNoiseDegradesGracefully) {
   PadConfig config = BaseConfig();
   config.use_noisy_oracle = true;
+  config.oracle_noise_sigma = 0.0;
   PairedRuns runs(config);
 
-  config.oracle_noise_sigma = 0.0;
   const PadRunResult clean = runs.Run(config);
   config.oracle_noise_sigma = 1.0;
   const PadRunResult noisy = runs.Run(config);
