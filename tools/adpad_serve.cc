@@ -70,15 +70,11 @@ int Main(int argc, char** argv) {
   config.pad.seed = static_cast<uint64_t>(options->GetInt("seed", 1234));
   config.pad.population.seed = config.pad.seed;
   config.max_bundle_ads = static_cast<uint32_t>(options->GetInt("max_bundle_ads", 32));
-  if (options->Has("arrivals_per_day")) {
-    config.pad.campaigns.arrivals_per_day = options->GetDouble("arrivals_per_day", 0.0);
-  }
-  if (options->Has("num_segments")) {
-    const int segments = options->GetInt("num_segments", 1);
-    config.pad.population.num_segments = segments;
-    config.pad.campaigns.num_segments = segments;
-    config.pad.exchange.num_segments = segments;
-  }
+  config.pad.campaigns.arrivals_per_day =
+      options->GetDouble("arrivals_per_day", config.pad.campaigns.arrivals_per_day);
+  // Campaigns take the population's segment count (AlignInputsConfig).
+  config.pad.population.num_segments =
+      options->GetInt("num_segments", config.pad.population.num_segments);
   config.pad.capacity_confidence =
       options->GetDouble("capacity_confidence", config.pad.capacity_confidence);
 

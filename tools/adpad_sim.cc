@@ -208,9 +208,8 @@ bool ReadConfig(const Options& options, int sweep_users, PadConfig* out) {
   config.population.skew_heavy_fraction = options.GetDouble("skew_heavy_fraction", 0.0);
   config.population.skew_rate_multiplier = options.GetDouble("skew_rate_multiplier", 1.0);
 
-  const double fault_rate = options.GetDouble("fault_rate", -1.0);
-  if (fault_rate >= 0.0) {
-    config.faults = FaultConfig::Uniform(fault_rate);
+  if (options.Has("fault_rate")) {
+    config.faults = FaultConfig::Uniform(options.GetDouble("fault_rate", 0.0));
   }
   config.faults.report_drop_rate =
       options.GetDouble("fault_report_drop_rate", config.faults.report_drop_rate);
@@ -249,11 +248,9 @@ bool ReadConfig(const Options& options, int sweep_users, PadConfig* out) {
     std::cerr << '\n';
     return false;
   }
-  const double oracle_noise = options.GetDouble("oracle_noise", -1.0);
-  if (oracle_noise >= 0.0) {
-    config.use_noisy_oracle = true;
-    config.oracle_noise_sigma = oracle_noise;
-  }
+  // Any oracle_noise= turns the noisy oracle on; ValidateConfig checks its sigma.
+  config.use_noisy_oracle = options.Has("oracle_noise");
+  config.oracle_noise_sigma = options.GetDouble("oracle_noise", config.oracle_noise_sigma);
   return true;
 }
 
@@ -372,21 +369,40 @@ int RunEngine(const Options& options, const PadConfig& config, const std::string
   return 0;
 }
 
+// The first user or session of a loaded trace that the run cannot take (a
+// segment outside [0, num_segments), an app outside the catalog) as one
+// line, or the empty string when all of them fit.
+std::string TraceMisfit(const Population& trace, int num_segments) {
+  const int apps = AppCatalog::TopFifteen().size();
+  for (const UserTrace& user : trace.users) {
+    if (user.segment < 0 || user.segment >= num_segments) {
+      return "trace user " + std::to_string(user.user_id) + " has segment " +
+             std::to_string(user.segment) + ", outside [0, " + std::to_string(num_segments) + ")";
+    }
+    for (const Session& session : user.sessions) {
+      if (session.app_id < 0 || session.app_id >= apps) {
+        return "trace user " + std::to_string(user.user_id) + " has app_id " +
+               std::to_string(session.app_id) + ", outside the " + std::to_string(apps) +
+               "-app catalog";
+      }
+    }
+  }
+  return "";
+}
+
 // The monolithic path: the whole population in memory, optionally loaded
 // from trace_in=, with the full event log available to events_out=.
-int RunMonolithic(const Options& options, const PadConfig& config, const std::string& mode,
-                  int threads, Comparison* result) {
+int RunMonolithic(const Options& options, PadConfig config, const std::string& mode, int threads,
+                  Comparison* result) {
   const std::string trace_in = options.GetString("trace_in", "");
   const std::string events_out = options.GetString("events_out", "");
-  if (!OptionsValid(options, config, "")) {
-    return 1;
-  }
   const bool run_baseline = mode != "pad";
   const bool run_pad = mode != "baseline";
 
-  // Build inputs, optionally around an external trace. A missing or
-  // malformed trace file is a user error with a one-line diagnostic, never
-  // an abort.
+  // An external trace replaces the generated one, horizon included, so the
+  // config is validated at the trace's horizon. A missing, malformed or
+  // misfitting trace is a user error with a one-line diagnostic, never an
+  // abort.
   Population external;
   if (!trace_in.empty()) {
     std::cout << "loading trace from " << trace_in << "\n";
@@ -396,18 +412,20 @@ int RunMonolithic(const Options& options, const PadConfig& config, const std::st
       return ExitCodeFor(loaded.status());
     }
     external = *std::move(loaded);
+    config.population.horizon_s = external.horizon_s;
   }
-  SimInputs inputs = [&] {
-    if (trace_in.empty()) {
-      return GenerateInputs(config);
-    }
-    // The campaign stream spans the loaded trace's horizon.
-    PadConfig aligned = config;
-    aligned.population.horizon_s = external.horizon_s;
-    aligned = AlignInputsConfig(aligned);
-    return SimInputs{std::move(external), AppCatalog::TopFifteen(),
-                     GenerateCampaignStream(aligned.campaigns)};
-  }();
+  if (!OptionsValid(options, config, "")) {
+    return 1;
+  }
+  if (const std::string misfit = TraceMisfit(external, config.population.num_segments);
+      !misfit.empty()) {
+    std::cerr << "adpad_sim: " << misfit << "\n";
+    return 1;
+  }
+  SimInputs inputs = trace_in.empty()
+                         ? GenerateInputs(config)
+                         : SimInputs{std::move(external), AppCatalog::TopFifteen(),
+                                     GenerateCampaignStream(AlignInputsConfig(config).campaigns)};
 
   std::cout << "running '" << mode << "': " << inputs.population.users.size() << " users, "
             << inputs.population.horizon_s / kDay << " trace days, radio=" << config.radio.name
