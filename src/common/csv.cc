@@ -2,9 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -106,29 +104,6 @@ std::optional<CsvTable> TryParseCsv(std::string_view text, std::string* error) {
     }
   }
   return table;
-}
-
-CsvTable ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  PAD_CHECK_MSG(in.good(), "cannot open CSV file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsv(buffer.str());
-}
-
-StatusOr<CsvTable> LoadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return Status::NotFound("cannot open CSV file '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  std::optional<CsvTable> table = TryParseCsv(buffer.str(), &error);
-  if (!table.has_value()) {
-    return Status::InvalidArgument("CSV file '" + path + "': " + error);
-  }
-  return *std::move(table);
 }
 
 }  // namespace pad

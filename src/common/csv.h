@@ -13,8 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/status.h"
-
 namespace pad {
 
 // Writes rows to an ostream owned by the caller.
@@ -51,13 +49,6 @@ CsvTable ParseCsv(std::string_view text);
 // truncated last line) returns nullopt with a diagnostic in *error instead
 // of taking the process down.
 std::optional<CsvTable> TryParseCsv(std::string_view text, std::string* error);
-
-// Reads and parses a CSV file; aborts if the file cannot be opened.
-CsvTable ReadCsvFile(const std::string& path);
-
-// Status-returning variant for user-supplied paths: kNotFound when the file
-// cannot be opened, kInvalidArgument when its contents fail TryParseCsv.
-StatusOr<CsvTable> LoadCsvFile(const std::string& path);
 
 }  // namespace pad
 

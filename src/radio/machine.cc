@@ -14,14 +14,6 @@ double EnergyReport::total_energy_j() const {
   return total;
 }
 
-double EnergyReport::total_tail_j() const {
-  double total = 0.0;
-  for (const CategoryEnergy& category : by_category) {
-    total += category.tail_j;
-  }
-  return total;
-}
-
 double EnergyReport::total_bytes() const {
   double total = 0.0;
   for (const CategoryEnergy& category : by_category) {

@@ -50,7 +50,6 @@ struct EnergyReport {
   }
 
   double total_energy_j() const;
-  double total_tail_j() const;
   double total_bytes() const;
   int64_t total_transfers() const;
 
