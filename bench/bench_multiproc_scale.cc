@@ -14,8 +14,8 @@
 // at 8 workers) is not met.
 //
 // Peak memory is reported as `max_rss_mib`: the coordinator's own peak RSS
-// maxed with the largest worker's (getrusage RUSAGE_CHILDREN after every
-// worker is reaped) — the per-process residency cap is the reason to shard
+// maxed with the largest worker's (PeakRssMib, read after every worker is
+// reaped) — the per-process residency cap is the reason to shard
 // across processes at all, so the bench tracks it next to throughput. It is
 // an ignored key in the bench_compare gate: informative, box-dependent.
 //
@@ -25,8 +25,6 @@
 //
 // which runs the full-scale acceptance row and the CI-sized row that
 // perf-smoke regenerates on every push (--ci_only).
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -62,16 +60,6 @@ MpBenchOptions OptionsFromArgv(int argc, char** argv) {
     }
   }
   return options;
-}
-
-// Peak RSS in MiB across this process and the largest reaped worker
-// (ru_maxrss is KiB on Linux).
-double MaxRssMib() {
-  struct rusage self {};
-  struct rusage children {};
-  getrusage(RUSAGE_SELF, &self);
-  getrusage(RUSAGE_CHILDREN, &children);
-  return static_cast<double>(std::max(self.ru_maxrss, children.ru_maxrss)) / 1024.0;
 }
 
 struct EngineRun {
@@ -147,7 +135,7 @@ int RunCase(const MpBenchCase& bench_case, double min_speedup, bench::BenchJson&
 
   const double speedup = pool.makespan_s > 0.0 ? single.makespan_s / pool.makespan_s : 0.0;
   const double users_per_sec = static_cast<double>(pool.result.total_users) / pool.wall_s;
-  const double rss_mib = MaxRssMib();
+  const double rss_mib = PeakRssMib();
 
   TextTable table({"metric", "1 process", std::to_string(bench_case.processes) + " processes"});
   table.AddRow({"makespan (thread-CPU)", FormatDouble(single.makespan_s, 2) + " s",

@@ -20,8 +20,6 @@
 // `--checkpoint_overhead` additionally repeats the run with the crash-recovery
 // journal (src/core/checkpoint.h) enabled and reports wall_on/wall_off as the
 // `checkpoint_overhead` metric, asserting the journaled run's digests match.
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -30,13 +28,6 @@
 
 namespace pad {
 namespace {
-
-// Peak resident set size of this process in MiB (ru_maxrss is KiB on Linux).
-double PeakRssMib() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 void RunPopulationEffect(const SweepOptions& sweep, bench::BenchJson& json) {
   PrintBanner(std::cout, "E10: metrics vs population size (same policy everywhere)");

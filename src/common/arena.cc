@@ -28,7 +28,9 @@ void Arena::AddChunk(size_t bytes) {
   // operator new[] for std::byte returns memory aligned for max_align_t
   // (16 on the targets we build); kCacheLine alignment is produced by the
   // bump cursor itself, so the chunk only needs the padding headroom above.
-  chunk.data = std::make_unique<std::byte[]>(capacity);
+  // Not zero-filled: the arena hands out uninitialized storage anyway, and a
+  // chunk's pages then become resident only as allocations reach them.
+  chunk.data = std::make_unique_for_overwrite<std::byte[]>(capacity);
   chunk.capacity = capacity;
   live_.push_back(std::move(chunk));
   next_ = live_.back().data.get();

@@ -21,6 +21,9 @@
 // Chunks are cache-line aligned and allocations are rounded to at least
 // 8-byte alignment (over-alignment supported up to kCacheLine), following
 // the mxtasking cache/alignment idiom the ROADMAP names for this path.
+// Chunks are never zero-filled — every allocation is uninitialized storage —
+// so the untouched tail of the last chunk (up to 4 MiB) costs address space,
+// not resident memory.
 //
 // Thread-compatibility: an Arena is single-threaded by design (one per
 // market lane); distinct lanes use distinct arenas.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "src/common/check.h"
 #include "src/overbook/display_model.h"
@@ -64,7 +65,6 @@ PadServer::PadServer(const PadConfig& config, std::vector<std::unique_ptr<PadCli
   segment_zero_.resize(static_cast<size_t>(num_segments_));
   next_live_.resize(static_cast<size_t>(num_segments_));
   order_pos_.resize(clients_.size());
-  bundles_.resize(clients_.size());
   sync_invalidations_.resize(clients_.size());
   reported_.resize(clients_.size());
   prob_memo_.resize(clients_.size());
@@ -254,8 +254,9 @@ void PadServer::BuildCandidates(const SoldImpression& impression,
 
 void PadServer::Dispatch(int client, const SoldImpression& impression, Placement* placement,
                          bool rescue) {
-  bundles_[static_cast<size_t>(client)].push_back(CachedAd{
-      impression.impression_id, impression.campaign_id, impression.deadline, config_.ad_bytes});
+  const CachedAd ad{impression.impression_id, impression.campaign_id, impression.deadline,
+                    config_.ad_bytes};
+  clients_[static_cast<size_t>(client)]->ReceiveAds(epoch_now_, std::span(&ad, 1));
   ++virtual_queue_[static_cast<size_t>(client)];
   if (--avail_[static_cast<size_t>(client)] == 0) {
     // Its last confident slot: capacity-gated scans skip it from now on.
@@ -369,9 +370,6 @@ void PadServer::RunEpoch(double now) {
     for (size_t i = 0; i < zero; ++i) {
       order_pos_[static_cast<size_t>(order[i])] = static_cast<uint32_t>(i);
     }
-  }
-  for (std::vector<CachedAd>& bundle : bundles_) {
-    bundle.clear();
   }
   epoch_campaign_count_.clear();
 
@@ -544,15 +542,7 @@ void PadServer::RunEpoch(double now) {
     }
   }
 
-  // 6. Hand each client its bundle (downloaded lazily at the client's next
-  // radio wakeup).
-  for (size_t c = 0; c < n; ++c) {
-    if (!bundles_[c].empty()) {
-      clients_[c]->ReceiveAds(now, bundles_[c]);
-    }
-  }
-
-  // 7. Sweep sales whose deadline passed without a display.
+  // 6. Sweep sales whose deadline passed without a display.
   exchange_.ledger().ExpireDeadlines(now);
 
   ++epoch_index_;

@@ -24,9 +24,9 @@
 //      per epoch (ad diversity);
 //   5. runs the rescue pass: a sold impression still open as its deadline
 //      approaches, whose holders look unlikely to deliver, gets one extra
-//      replica on the best eligible client;
-//   6. hands each client its bundle (downloaded lazily at the client's next
-//      radio wakeup).
+//      replica on the best eligible client.
+// Each replica of steps 4 and 5 goes straight onto its client's pending
+// bundle, which downloads lazily at the client's next radio wakeup.
 #ifndef ADPAD_SRC_CORE_PAD_SERVER_H_
 #define ADPAD_SRC_CORE_PAD_SERVER_H_
 
@@ -106,7 +106,8 @@ class PadServer {
   // Distinct eligible candidate list: per masked segment, the clients with
   // the most spare capacity, plus random eligible extras.
   void BuildCandidates(const SoldImpression& impression, std::vector<int>& candidates);
-  // Commits one replica: bundle entry, bookkeeping, diversity counter.
+  // Commits one replica: hands the ad to its client, then bookkeeping and
+  // the diversity counter.
   void Dispatch(int client, const SoldImpression& impression, Placement* placement,
                 bool rescue = false);
 
@@ -131,8 +132,8 @@ class PadServer {
   // What the server heard from each client, snapshot once per epoch in step
   // 2 so the hot checks index a flat array instead of chasing clients_[c].
   // Rates change only in StartWindow, which runs before RunEpoch; caches
-  // change only in the step-1 sync, before the snapshot, and in the step-6
-  // hand-over, after the last reader.
+  // change only in the step-1 sync, before the snapshot, and in Dispatch,
+  // after it. The snapshot is the epoch's only reader of cache sizes.
   struct ReportedState {
     double rate = 0.0;      // reported_rate()
     double var_rate = 0.0;  // reported_var_rate()
@@ -186,9 +187,6 @@ class PadServer {
   // Each client's index in its segment's order, for clients with capacity
   // at the start of the epoch.
   std::vector<uint32_t> order_pos_;
-  // Per-epoch bundles under assembly. Sized once; cleared (capacity kept)
-  // every epoch instead of reassigned.
-  std::vector<std::vector<CachedAd>> bundles_;
   std::vector<int> scratch_candidates_;
   // Step-1 scratch: per-client invalidation id lists. Only the entries named
   // in `sync_touched_` hold anything; they are cleared (capacity kept) after

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "src/apps/workload.h"
 #include "src/common/arena.h"
@@ -89,7 +90,19 @@ BaselineResult RunBaseline(const SimContext& context, const SimInputs& inputs) {
     double time;
     int segment;
   };
+  // Reserved at its exact size, the kept sessions' slot count, so it holds no
+  // spare capacity and never copies itself while it fills.
+  size_t kept_slots = 0;
+  for (const UserTrace& user : inputs.population.users) {
+    for (const Session& session : user.sessions) {
+      if (session.start_time >= t0) {
+        ForEachSlotTime(inputs.catalog.Get(session.app_id), session,
+                        [&kept_slots](double) { ++kept_slots; });
+      }
+    }
+  }
   std::vector<SegmentedSlot> all_slots;
+  all_slots.reserve(kept_slots);
   RadioMachine cell(config.radio);
   std::optional<RadioMachine> wifi;
   if (config.wifi.enabled) {
@@ -253,9 +266,22 @@ class RunQueue {
   std::vector<PendingEvent> heap_;
 };
 
-}  // namespace
+// Once PAD has read a user's sessions (its warm-up counts and its feed's
+// expansion), a user the caller handed over gives them back, buffer and all
+// (clear() would keep the buffer); a shared, read-only user is left as is.
+void ReleaseSessions(UserTrace& user) { std::vector<Session>().swap(user.sessions); }
+void ReleaseSessions(const UserTrace&) {}
 
-PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog* event_log) {
+// The one body of both RunPad entry points: a build step, one user at a
+// time, then the run. `inputs` is either read only (const SimInputs&) or
+// handed over (SimInputs&&); then each user's sessions are freed as soon as
+// the user is built, and the campaign stream moves into the exchange instead
+// of being copied. What users share during the build advances in user order:
+// the transfer-shape table, the local-energy sum and the run queue's seqs,
+// whose first client seq follows the epoch seqs fixed before any user. So
+// the order in which one user's client and feed are built changes no bit.
+template <typename Inputs>
+PadRunResult BuildAndRunPad(const SimContext& context, Inputs&& inputs, EventLog* event_log) {
   const PadConfig& config = context.config;
   const double t0 = context.t0;
   const double horizon = inputs.population.horizon_s;
@@ -270,44 +296,9 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
   PAD_CHECK_MSG(std::fabs(window_s / epoch_s - epochs_per_window) < 1e-9 &&
                     epochs_per_window >= 1,
                 "prediction window must be a multiple of the sale epoch");
-
-  // --- Build clients with warm predictors -------------------------------
   const int warmup_windows = context.warmup_windows;
   PAD_CHECK_MSG(std::fabs(t0 / window_s - warmup_windows) < 1e-9,
                 "warmup must be a whole number of prediction windows");
-
-  std::vector<std::unique_ptr<PadClient>> clients;
-  clients.reserve(inputs.population.users.size());
-  int windows_per_day = 0;
-  for (const UserTrace& user : inputs.population.users) {
-    // Warm-up needs per-window counts only (the noisy oracle takes the
-    // whole horizon's), so they come straight from the sessions.
-    const SlotSeries series = CountSlots(inputs.catalog, user, horizon, window_s);
-    windows_per_day = series.WindowsPerDay();
-
-    std::unique_ptr<SlotPredictor> predictor;
-    if (config.use_noisy_oracle) {
-      predictor = std::make_unique<NoisyOraclePredictor>(
-          series.counts, config.oracle_noise_sigma,
-          config.seed ^ (0x5eedull + static_cast<uint64_t>(user.user_id)));
-    } else {
-      predictor = MakePredictor(config.predictor, windows_per_day);
-      for (int w = 0; w < warmup_windows && w < series.num_windows(); ++w) {
-        predictor->Observe(w, series.counts[static_cast<size_t>(w)]);
-      }
-    }
-    clients.push_back(std::make_unique<PadClient>(user.user_id, user.segment, config,
-                                                  std::move(predictor)));
-    clients.back()->set_event_log(event_log);
-  }
-
-  ExchangeConfig exchange_config = config.exchange;
-  exchange_config.num_segments = config.population.num_segments;
-  Exchange exchange(exchange_config, inputs.campaigns);
-  if (event_log != nullptr) {
-    exchange.ledger().set_observer(event_log);
-  }
-  PadServer server(config, clients, exchange, config.seed ^ 0xad5e17ull, event_log);
 
   PadRunResult result;
   result.scored_days = (horizon - t0) / kDay;
@@ -321,21 +312,44 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
   }
   PAD_CHECK_MSG(!epoch_times.empty(), "no epochs fit between warmup and horizon");
 
-  // --- Build the client feeds in one arena ------------------------------
+  // --- Build each user's warm client and arena feed ---------------------
   WorkloadOptions options;
   options.on_demand_ads = false;
   options.app_content = true;
   options.min_session_start = t0;
 
+  const size_t num_users = inputs.population.users.size();
+  std::vector<std::unique_ptr<PadClient>> clients;
+  clients.reserve(num_users);
   Arena arena;
   TransferShapes shapes;
-  std::vector<ClientFeed> feeds(clients.size());
+  std::vector<ClientFeed> feeds(num_users);
   uint64_t next_seq = epoch_times.size();
-  RunQueue queue(clients.size());
+  RunQueue queue(num_users);
   {
     UserWorkload scratch;
-    for (size_t c = 0; c < clients.size(); ++c) {
-      ExpandUserInto(inputs.catalog, inputs.population.users[c], options, scratch);
+    for (auto& user : inputs.population.users) {
+      // Warm-up needs per-window counts only (the noisy oracle takes the
+      // whole horizon's), so they come straight from the sessions.
+      const SlotSeries series = CountSlots(inputs.catalog, user, horizon, window_s);
+      std::unique_ptr<SlotPredictor> predictor;
+      if (config.use_noisy_oracle) {
+        predictor = std::make_unique<NoisyOraclePredictor>(
+            series.counts, config.oracle_noise_sigma,
+            config.seed ^ (0x5eedull + static_cast<uint64_t>(user.user_id)));
+      } else {
+        predictor = MakePredictor(config.predictor, series.WindowsPerDay());
+        for (int w = 0; w < warmup_windows && w < series.num_windows(); ++w) {
+          predictor->Observe(w, series.counts[static_cast<size_t>(w)]);
+        }
+      }
+      const auto c = static_cast<uint32_t>(clients.size());
+      clients.push_back(std::make_unique<PadClient>(user.user_id, user.segment, config,
+                                                    std::move(predictor)));
+      clients.back()->set_event_log(event_log);
+
+      ExpandUserInto(inputs.catalog, user, options, scratch);
+      ReleaseSessions(user);
       result.energy.local_j += scratch.local_energy_j;
 
       ClientFeed& feed = feeds[c];
@@ -355,10 +369,18 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
       std::sort(events, events + feed.count,
                 [](const FeedEvent& a, const FeedEvent& b) { return a.time < b.time; });
       if (feed.count > 0) {
-        queue.Push(PendingEvent{events[0].time, next_seq++, static_cast<uint32_t>(c)});
+        queue.Push(PendingEvent{events[0].time, next_seq++, c});
       }
     }
   }
+
+  ExchangeConfig exchange_config = config.exchange;
+  exchange_config.num_segments = config.population.num_segments;
+  Exchange exchange(exchange_config, std::forward<Inputs>(inputs).campaigns);
+  if (event_log != nullptr) {
+    exchange.ledger().set_observer(event_log);
+  }
+  PadServer server(config, clients, exchange, config.seed ^ 0xad5e17ull, event_log);
 
   // --- Run --------------------------------------------------------------
   // Two sources feed the merged event order: epoch boundaries (time-sorted,
@@ -417,6 +439,16 @@ PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog
   result.impressions_dispatched = server.impressions_dispatched();
   result.calibration = server.calibration();
   return result;
+}
+
+}  // namespace
+
+PadRunResult RunPad(const SimContext& context, const SimInputs& inputs, EventLog* event_log) {
+  return BuildAndRunPad(context, inputs, event_log);
+}
+
+PadRunResult RunPad(const SimContext& context, SimInputs&& inputs, EventLog* event_log) {
+  return BuildAndRunPad(context, std::move(inputs), event_log);
 }
 
 PadRunResult RunPad(const PadConfig& config, const SimInputs& inputs, EventLog* event_log) {

@@ -77,8 +77,17 @@ BaselineResult RunBaseline(const SimContext& context, const SimInputs& inputs);
 BaselineResult RunBaseline(const PadConfig& config, const SimInputs& inputs);
 
 // `event_log`, when non-null, records every market and dispatch event of the
-// run (see core/event_log.h).
+// run (see core/event_log.h). PAD builds each user's client and feed in turn,
+// then runs the market; it never writes `inputs`, so concurrent runs may
+// share them.
 PadRunResult RunPad(const SimContext& context, const SimInputs& inputs,
+                    EventLog* event_log = nullptr);
+// The same run, bit for bit, for a caller that is done with `inputs`: each
+// user's sessions are freed (capacity included) as soon as that user is
+// built, and the campaign stream moves into the exchange instead of being
+// copied. Afterwards `inputs` keeps its users' ids and segments, no
+// sessions, and an unspecified campaign stream.
+PadRunResult RunPad(const SimContext& context, SimInputs&& inputs,
                     EventLog* event_log = nullptr);
 PadRunResult RunPad(const PadConfig& config, const SimInputs& inputs,
                     EventLog* event_log = nullptr);

@@ -1,5 +1,6 @@
 #include "src/core/shard_engine.h"
 
+#include <sys/resource.h>
 #include <time.h>
 
 #include <algorithm>
@@ -232,6 +233,15 @@ double ThreadCpuSeconds() {
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
+double PeakRssMib() {
+  rusage self{};
+  rusage children{};
+  getrusage(RUSAGE_SELF, &self);
+  getrusage(RUSAGE_CHILDREN, &children);
+  // ru_maxrss is KiB on Linux.
+  return static_cast<double>(std::max(self.ru_maxrss, children.ru_maxrss)) / 1024.0;
+}
+
 MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>& boundaries,
                             int market, PopulationStream& stream, bool run_baseline,
                             bool event_digests) {
@@ -260,15 +270,17 @@ MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>
     out.baseline_digest = MetricsDigest(out.baseline);
   }
   // Only the market's event digest is kept: a digest-only log folds each
-  // event as it is recorded and buffers none of them.
+  // event as it is recorded and buffers none of them. Nothing reads `inputs`
+  // after PAD, so PAD consumes them: each user's sessions are freed once its
+  // client and feed are built, and the campaign stream moves into PAD's
+  // exchange, so the market's peak holds neither.
   EventLog log = EventLog::DigestOnly();
-  out.pad = RunPad(market_context, inputs, event_digests ? &log : nullptr);
+  out.pad = RunPad(market_context, std::move(inputs), event_digests ? &log : nullptr);
   out.pad_digest = MetricsDigest(out.pad);
   if (event_digests) {
     out.event_digest = log.Digest();
   }
   out.simulate_seconds = SecondsSince(simulate_start);
-  // The market's traces are freed on return: `inputs` goes out of scope here.
   return out;
 }
 

@@ -257,6 +257,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start);
 // held the core last.
 double ThreadCpuSeconds();
 
+// Peak resident set size in MiB: the larger of this process's own and that of
+// its largest reaped child (the multi-process engine's workers). A process
+// that never forks reads its own peak.
+double PeakRssMib();
+
 // Folds completed market records (slot m holds market m's record iff its
 // .market == m; untouched slots keep the default -1) in market-index order —
 // never completion order — into `merged`'s totals, session/time aggregates,

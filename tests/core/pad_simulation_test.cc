@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/common/units.h"
+#include "src/core/event_log.h"
 #include "src/core/shard_engine.h"
+#include "src/core/sweep.h"
 
 namespace pad {
 namespace {
@@ -163,6 +167,37 @@ TEST(PadRunTest, SeedChangesRun) {
   config.population.seed = 777;
   const Comparison b = RunComparison(config);
   EXPECT_NE(a.pad.service.slots, b.pad.service.slots);
+}
+
+// The consuming entry point frees each user's sessions once the user is
+// built and moves the campaign stream into the exchange; the run must still
+// be the read-only one, bit for bit, with faults, targeting and caps on.
+TEST(PadSimulationTest, ConsumingAndReadOnlyRunsAgree) {
+  PadConfig config = QuickConfig();
+  config.population.num_users = 60;
+  config.population.num_segments = 3;
+  config.campaigns.targeted_fraction = 0.5;
+  config.campaigns.capped_fraction = 0.3;
+  config.faults = FaultConfig::Uniform(0.05);
+  const SimContext context = MakeSimContext(AlignInputsConfig(config));
+  const SimInputs shared = GenerateInputs(context);
+  EventLog shared_log = EventLog::DigestOnly();
+  const PadRunResult read_only = RunPad(context, shared, &shared_log);
+
+  SimInputs owned = shared;
+  EventLog owned_log = EventLog::DigestOnly();
+  const PadRunResult consumed = RunPad(context, std::move(owned), &owned_log);
+
+  EXPECT_GT(read_only.impressions_dispatched, 0);
+  EXPECT_EQ(MetricsDigest(consumed), MetricsDigest(read_only));
+  EXPECT_EQ(owned_log.Digest(), shared_log.Digest());
+  // What the run left of the inputs it consumed: every user, none of their
+  // session storage.
+  ASSERT_EQ(owned.population.users.size(), shared.population.users.size());
+  for (size_t u = 0; u < owned.population.users.size(); ++u) {
+    EXPECT_EQ(owned.population.users[u].user_id, shared.population.users[u].user_id);
+    EXPECT_EQ(owned.population.users[u].sessions.capacity(), 0u) << "user " << u;
+  }
 }
 
 TEST(QuickConfigTest, RunsFastAndNonTrivially) {

@@ -1,55 +1,85 @@
 // Allocation-regression gate for the per-user hot path.
 //
 // A global operator-new hook counts every heap allocation made while the
-// simulation kernel runs. The arena/scratch work bounded per-user heap
-// traffic: workload expansion, feed events, the event queue, and the
-// exchange/server inner loops no longer allocate per user or per event in
-// steady state. This binary pins that down with two assertions:
+// simulation kernel runs, and the bytes live on the heap with their
+// high-water mark. The arena/scratch work bounded per-user heap traffic:
+// workload expansion, feed events, the event queue, and the exchange/server
+// inner loops no longer allocate per user or per event in steady state. This
+// binary pins that down with three assertions:
 //
 //   1. an absolute budget — allocations per simulated user under a fixed
 //      ceiling chosen ~2x above the current measured cost, so a reintroduced
 //      per-event or per-call allocation (thousands per user) fails loudly
 //      while normal drift does not;
 //   2. a marginal budget — growing the population must cost less per added
-//      user than the absolute budget (fixed setup costs excluded).
+//      user than the absolute budget (fixed setup costs excluded);
+//   3. a footprint budget — the peak live heap of one market, which decides
+//      how many markets a box can run at once.
 //
 // This lives in its own binary (resume_stress_test pattern) because the
 // operator-new override is process-global and must not leak into other test
 // binaries.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/core/event_log.h"
 #include "src/core/pad_simulation.h"
+#include "src/core/shard_engine.h"
+#include "src/trace/generator.h"
 
 namespace {
 
 std::atomic<int64_t> g_news{0};
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_live_bytes{0};
+
+// Two regressions are guarded here: per-user/per-event malloc churn, which
+// shows up as a call count, and a market holding more than it needs at once,
+// which shows up as the high-water mark of live bytes. Bytes are the usable
+// size of each block, the heap's real cost, read again on delete.
+void* CountNew(void* p) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (p != nullptr) {
+    const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+    const int64_t live = g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peak_live_bytes.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+    }
+  }
+  return p;
+}
+
+void CountDelete(void* p) {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    std::free(p);
+  }
+}
 
 }  // namespace
 
-// Count allocations, not bytes: the regression mode we guard against is
-// per-user/per-event malloc churn, which shows up as call count.
 void* operator new(size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
+  if (void* p = CountNew(std::malloc(size))) {
     return p;
   }
   throw std::bad_alloc();
 }
 
 void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
+  return CountNew(std::malloc(size));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountDelete(p); }
+void operator delete(void* p, size_t) noexcept { CountDelete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { CountDelete(p); }
 
 namespace pad {
 namespace {
@@ -105,6 +135,29 @@ TEST(AllocRegressionTest, MarginalUserCostUnderBudget) {
   EXPECT_LE(marginal, kMaxPadAllocsPerUser)
       << "marginal " << marginal << " allocs/user (" << small << " @ " << kSmall << " users, "
       << large << " @ " << kLarge << " users)";
+}
+
+// Measured: one 400-user, 9-day market (baseline, PAD, event digest) peaks
+// at 8.3 MB of live heap above what was live when it started. It peaked at
+// 12.9 MB while PAD kept every session and a copy of the campaign stream
+// until the market ended and the baseline's slot vector grew by doubling.
+// The budget sits 1.25x above the measurement, well below the old peak.
+constexpr int64_t kMaxMarketPeakHeapBytes = 10'400'000;
+
+TEST(AllocRegressionTest, MarketPeakHeapUnderBudget) {
+  PadConfig config = UsersConfig(400);
+  config.population.horizon_s = 9.0 * kDay;
+  config.campaigns.arrivals_per_day = 600.0;
+  const PadConfig aligned = AlignInputsConfig(config);
+  const std::vector<int64_t> boundaries = MarketBoundaries(aligned.population.num_users, 0);
+  PopulationStream stream(aligned.population);
+  const int64_t at_entry = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(at_entry, std::memory_order_relaxed);
+  const MarketRecord record = SimulateMarket(aligned, boundaries, /*market=*/0, stream,
+                                             /*run_baseline=*/true, /*event_digests=*/true);
+  const int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed) - at_entry;
+  EXPECT_GT(record.pad.service.slots, 0);
+  EXPECT_LE(peak, kMaxMarketPeakHeapBytes) << peak << " bytes of live heap at the market's peak";
 }
 
 TEST(AllocRegressionTest, BaselineKernelAllocationsPerUserUnderBudget) {

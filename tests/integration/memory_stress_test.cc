@@ -7,7 +7,6 @@
 // Expensive (~1 min on one core), so it self-skips unless ADPAD_RUN_SLOW=1
 // and carries the `slow` ctest label.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <cstdlib>
 #include <cstring>
@@ -16,15 +15,6 @@
 
 namespace pad {
 namespace {
-
-double PeakRssMib() {
-  struct rusage usage;
-  if (getrusage(RUSAGE_SELF, &usage) != 0) {
-    return 0.0;
-  }
-  // ru_maxrss is KiB on Linux.
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 bool SlowTestsEnabled() {
   const char* flag = std::getenv("ADPAD_RUN_SLOW");

@@ -9,13 +9,17 @@
 //
 // Options (key=value; --config <file> loads one per line). Every path takes
 // these model keys and threads=:
-//   users, days, warmup_days, seed          trace shape (not in a sweep)
+//   users, days, warmup_days, seed          trace shape (no users= in a
+//                                           sweep; neither users= nor days=
+//                                           with trace_in=, which takes both
+//                                           from the trace)
 //   radio=3g|lte|wifi, wifi_offload=bool    energy model
 //   window_h, deadline_h                    prediction window T, deadline D
 //   predictor=<name>, oracle_noise=<sigma>  client model
 //   capacity_confidence, sla_target, max_replicas, overbooking_factor
 //   num_segments, targeted_fraction, selectivity, capped_fraction,
-//   budgeted_fraction, arrivals_per_day     market shape
+//   budgeted_fraction, arrivals_per_day     market shape (arrivals default:
+//                                           max(50, 1.5 x users))
 //   fault_rate=r                            uniform fault injection: sets the
 //                                           drop/fetch/sync/offline rates to r
 //   fault_report_drop_rate, fault_report_delay_rate, fault_fetch_failure_rate,
@@ -138,9 +142,13 @@ bool ParseUserCounts(const std::string& text, std::vector<int>* counts) {
   }
 }
 
+// Campaign arrivals a day when arrivals_per_day= is left out: demand scales
+// with supply, as in the benches.
+double DefaultArrivalsPerDay(int users) { return std::max(50.0, 1.5 * users); }
+
 // A paired comparison per population size, fanned out across the sweep
-// engine. Campaign demand scales with supply (as in the benches) unless the
-// user pinned arrivals_per_day explicitly.
+// engine. Campaign demand scales with supply unless the user pinned
+// arrivals_per_day explicitly.
 int RunUserSweep(const PadConfig& base, const std::vector<int>& user_counts,
                  bool arrivals_pinned, const SweepOptions& sweep) {
   std::vector<PadConfig> configs;
@@ -149,7 +157,7 @@ int RunUserSweep(const PadConfig& base, const std::vector<int>& user_counts,
     PadConfig point = base;
     point.population.num_users = users;
     if (!arrivals_pinned) {
-      point.campaigns.arrivals_per_day = std::max(50.0, 1.5 * users);
+      point.campaigns.arrivals_per_day = DefaultArrivalsPerDay(users);
     }
     configs.push_back(point);
   }
@@ -182,12 +190,17 @@ bool PickPredictor(const std::string& name, PredictorKind* kind) {
 }
 
 // Reads the model keys every path takes into a config. The sweep passes its
-// first population size in place of users=, which it would ignore. Returns
-// false after printing one line on a bad radio or predictor name.
+// first population size in place of users=, which it would ignore. A
+// trace_in= run takes its users and horizon from the trace (RunMonolithic
+// sets both once it loads), so users= and days= are left unread there, and
+// the unused-key check rejects them. Returns false after printing one line
+// on a bad radio or predictor name.
 bool ReadConfig(const Options& options, int sweep_users, PadConfig* out) {
   PadConfig& config = *out;
-  config.population.num_users = sweep_users > 0 ? sweep_users : options.GetInt("users", 200);
-  config.population.horizon_s = options.GetDouble("days", 21.0) * kDay;
+  if (!options.Has("trace_in")) {
+    config.population.num_users = sweep_users > 0 ? sweep_users : options.GetInt("users", 200);
+    config.population.horizon_s = options.GetDouble("days", 21.0) * kDay;
+  }
   config.population.num_segments = options.GetInt("num_segments", 1);
   config.population.seed = static_cast<uint64_t>(options.GetInt("seed", 1234));
   config.warmup_days = options.GetInt("warmup_days", 7);
@@ -197,8 +210,8 @@ bool ReadConfig(const Options& options, int sweep_users, PadConfig* out) {
   config.planner.sla_target = options.GetDouble("sla_target", 0.90);
   config.planner.max_replicas = options.GetInt("max_replicas", 2);
   config.overbooking_factor = options.GetDouble("overbooking_factor", -1.0);
-  config.campaigns.arrivals_per_day =
-      options.GetDouble("arrivals_per_day", std::max(50.0, 1.5 * config.population.num_users));
+  config.campaigns.arrivals_per_day = options.GetDouble(
+      "arrivals_per_day", DefaultArrivalsPerDay(config.population.num_users));
   config.campaigns.targeted_fraction = options.GetDouble("targeted_fraction", 0.0);
   config.campaigns.segment_selectivity = options.GetDouble("selectivity", 0.25);
   config.campaigns.capped_fraction = options.GetDouble("capped_fraction", 0.0);
@@ -354,7 +367,8 @@ int RunEngine(const Options& options, const PadConfig& config, const std::string
   std::cout << "markets=" << run->num_markets << " sessions=" << run->total_sessions
             << " peak_resident_users=" << run->peak_resident_users
             << " generate_s=" << FormatDouble(run->generate_seconds, 2)
-            << " simulate_s=" << FormatDouble(run->simulate_seconds, 2) << "\n";
+            << " simulate_s=" << FormatDouble(run->simulate_seconds, 2)
+            << " peak_rss_mib=" << FormatDouble(PeakRssMib(), 1) << "\n";
   if (run->interrupted) {
     std::cerr << "adpad_sim: interrupted; " << run->market_pad_digests.size() << "/"
               << run->num_markets << " markets completed"
@@ -391,18 +405,20 @@ std::string TraceMisfit(const Population& trace, int num_segments) {
 }
 
 // The monolithic path: the whole population in memory, optionally loaded
-// from trace_in=, with the full event log available to events_out=.
-int RunMonolithic(const Options& options, PadConfig config, const std::string& mode, int threads,
+// from trace_in=, with the full event log available to events_out=. A trace
+// sets `config`'s user count and horizon, so the report describes the run.
+int RunMonolithic(const Options& options, PadConfig& config, const std::string& mode, int threads,
                   Comparison* result) {
   const std::string trace_in = options.GetString("trace_in", "");
   const std::string events_out = options.GetString("events_out", "");
   const bool run_baseline = mode != "pad";
   const bool run_pad = mode != "baseline";
 
-  // An external trace replaces the generated one, horizon included, so the
-  // config is validated at the trace's horizon. A missing, malformed or
-  // misfitting trace is a user error with a one-line diagnostic, never an
-  // abort.
+  // An external trace replaces the generated one, user count and horizon
+  // included, so the config is validated at the trace's size and horizon
+  // (and its default campaign arrivals follow the trace's user count). A
+  // missing, malformed or misfitting trace is a user error with a one-line
+  // diagnostic, never an abort.
   Population external;
   if (!trace_in.empty()) {
     std::cout << "loading trace from " << trace_in << "\n";
@@ -412,7 +428,11 @@ int RunMonolithic(const Options& options, PadConfig config, const std::string& m
       return ExitCodeFor(loaded.status());
     }
     external = *std::move(loaded);
+    config.population.num_users = static_cast<int>(external.users.size());
     config.population.horizon_s = external.horizon_s;
+    if (!options.Has("arrivals_per_day")) {
+      config.campaigns.arrivals_per_day = DefaultArrivalsPerDay(config.population.num_users);
+    }
   }
   if (!OptionsValid(options, config, "")) {
     return 1;
