@@ -12,7 +12,7 @@
 //   host=ADDR              bind address        (default 127.0.0.1)
 //   port=N                 bind port; 0 picks an ephemeral port and prints it
 //   users=N                PopulationStream clients in the market snapshot
-//   seed=N                 trace/campaign seed (default QuickConfig's)
+//   seed=N                 trace and campaign-book seed (default 1234)
 //   max_sessions=N         admission-control bound on concurrent connections
 //   accept_backlog=N       kernel listen(2) backlog
 //   max_bundle_ads=N       largest bundle a request may ask for
@@ -39,10 +39,13 @@
 //
 // Exit codes: 0 ok (including signal-triggered drain), 1 invalid
 // argument/config, 2 environment failure (bind/listen).
+#include <chrono>
 #include <csignal>
 #include <iostream>
 
 #include "src/common/options.h"
+#include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/serve/ad_server.h"
 #include "src/serve/session_adapter.h"
@@ -69,6 +72,10 @@ int Main(int argc, char** argv) {
   ServeConfig config = DefaultServeConfig(options->GetInt("users", 200));
   config.pad.seed = static_cast<uint64_t>(options->GetInt("seed", 1234));
   config.pad.population.seed = config.pad.seed;
+  // The book gets a stream of its own: Rng(seed) would replay the
+  // population's parameter draws.
+  uint64_t book_state = config.pad.seed;
+  config.pad.campaigns.seed = SplitMix64(book_state);
   config.max_bundle_ads = static_cast<uint32_t>(options->GetInt("max_bundle_ads", 32));
   config.pad.campaigns.arrivals_per_day =
       options->GetDouble("arrivals_per_day", config.pad.campaigns.arrivals_per_day);
@@ -106,11 +113,14 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
+  const auto snapshot_start = std::chrono::steady_clock::now();
   StatusOr<std::unique_ptr<DecisionEngine>> engine = DecisionEngine::Create(config);
   if (!engine.ok()) {
     std::cerr << engine.status().ToString() << "\n";
     return ExitCodeFor(engine.status());
   }
+  const double snapshot_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - snapshot_start).count();
 
   AdServer server(**engine, server_options);
   const Status started = server.Start();
@@ -126,7 +136,8 @@ int Main(int argc, char** argv) {
   std::cout << "adpad_serve listening on " << server_options.host << ":" << server.port()
             << " — " << (*engine)->num_clients() << " clients, "
             << (*engine)->active_campaigns() << " active campaigns, max_sessions="
-            << server_options.max_sessions << "\n"
+            << server_options.max_sessions << ", snapshot_s=" << FormatDouble(snapshot_s, 3)
+            << "\n"
             << std::flush;
   server.Run();
   g_server = nullptr;
