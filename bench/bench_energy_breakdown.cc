@@ -84,10 +84,9 @@ void Run(int num_users, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "energy_breakdown");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 300), json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::EnergyBreakdown(const Options& options) {
+  return UsersExperiment(options, 300, Run);
 }
+
+}  // namespace pad

@@ -82,11 +82,9 @@ void Run(int num_users, const SweepOptions& sweep, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "fault_tolerance");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), pad::bench::SweepOptionsFromArgv(argc, argv),
-           json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::FaultTolerance(const Options& options) {
+  return SweepExperiment(options, Run);
 }
+
+}  // namespace pad

@@ -8,23 +8,16 @@
 // an "optimization" that drifts a single metric bit or reorders one event
 // fails the digest rows before anyone has to squint at throughput noise.
 //
-//   $ bench_hot_path --json BENCH_hot_path.json
-//   $ bench_hot_path --users 20000 --market_users 2000 --threads 2
-//
-// Flags take their value as the next argument; an unknown flag, a missing
-// value, or a malformed or out-of-range number exits 2 with a one-line
-// message.
+//   $ adpad_bench hot_path json=BENCH_hot_path.json
+//   $ adpad_bench hot_path users=20000 market_users=2000 threads=2
 //
 // The default scale (2000 users, 9 days, 500-user markets) matches the CI
-// perf-smoke row of bench_population_scale, small enough to finish in
-// seconds on one core.
-#include <charconv>
+// perf-smoke row of population_scale, small enough to finish in seconds on
+// one core.
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <system_error>
 
 #include "bench/bench_util.h"
 #include "src/core/shard_engine.h"
@@ -33,68 +26,15 @@ namespace pad {
 namespace {
 
 struct HotPathOptions {
-  int64_t users = 2000;
-  int64_t market_users = 500;
+  int users = 2000;
+  int market_users = 500;
   int threads = 1;
   double days = 9.0;  // 7 warmup + 2 scored.
   int repeats = 1;    // Throughput reported from the fastest repeat.
 };
 
-// Parses `text` whole as a T in [lo, hi]; NaN and partial parses fail.
-template <typename T>
-bool ParseInRange(const char* text, T lo, T hi, T* out) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [stop, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// Strict `--flag value` command line: an unknown flag, a missing value, or a
-// malformed or out-of-range number is a usage error. Returns "" or the
-// one-line diagnostic.
-std::string OptionsFromArgv(int argc, char** argv, HotPathOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const bool known = flag == "--users" || flag == "--market_users" || flag == "--threads" ||
-                       flag == "--days" || flag == "--repeats" || flag == "--json";
-    if (!known) {
-      return "unknown flag '" + flag +
-             "' (flags: --users --market_users --threads --days --repeats --json)";
-    }
-    if (i + 1 >= argc) {
-      return flag + " needs a value";
-    }
-    const char* value = argv[++i];
-    const auto bad = [&](const char* range) {
-      return flag + " must be " + range + ", got '" + value + "'";
-    };
-    if (flag == "--users" && !ParseInRange<int64_t>(value, 1, INT32_MAX, &options->users)) {
-      return bad("an integer in [1, 2147483647]");
-    }
-    if (flag == "--market_users" &&
-        !ParseInRange<int64_t>(value, 0, INT32_MAX, &options->market_users)) {
-      return bad("an integer in [0, 2147483647] (0 = one market)");
-    }
-    if (flag == "--threads" && !ParseInRange(value, 0, 1024, &options->threads)) {
-      return bad("an integer in [0, 1024] (0 = all cores)");
-    }
-    if (flag == "--days" && !ParseInRange(value, 1.0, 3650.0, &options->days)) {
-      return bad("a number of days in [1, 3650]");
-    }
-    if (flag == "--repeats" && !ParseInRange(value, 1, 1000, &options->repeats)) {
-      return bad("an integer in [1, 1000]");
-    }
-    // --json's path is read by BenchJson.
-  }
-  return "";
-}
-
 int Run(const HotPathOptions& hot, bench::BenchJson& json) {
-  PadConfig config = bench::StandardConfig(static_cast<int>(hot.users));
+  PadConfig config = bench::StandardConfig(hot.users);
   config.population.horizon_s = hot.days * kDay;
   config.market_users = hot.market_users;
 
@@ -102,7 +42,7 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
   options.threads = hot.threads;
   options.event_digests = true;
   if (const std::string error = ValidateShardOptions(config, options); !error.empty()) {
-    std::cerr << "bench_hot_path: " << error << "\n";
+    std::cerr << "hot_path: " << error << "\n";
     return 1;
   }
 
@@ -120,7 +60,7 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (r > 0 && (run.combined_pad_digest != result.combined_pad_digest ||
                   run.combined_event_digest != result.combined_event_digest)) {
-      std::cerr << "bench_hot_path: repeat " << r << " diverged from repeat 0\n";
+      std::cerr << "hot_path: repeat " << r << " diverged from repeat 0\n";
       return 1;
     }
     if (r == 0 || wall_s < best_wall_s) {
@@ -155,18 +95,15 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::HotPathOptions options;
-  if (const std::string error = pad::OptionsFromArgv(argc, argv, &options); !error.empty()) {
-    std::cerr << "bench_hot_path: " << error << "\n";
-    return 2;
-  }
-  pad::bench::BenchJson json(argc, argv, "hot_path");
-  const int status = pad::Run(options, json);
-  if (status != 0) {
-    return status;
-  }
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::HotPath(const Options& options) {
+  HotPathOptions hot;
+  hot.users = Users(options, hot.users);
+  hot.market_users = MarketUsers(options, hot.market_users);
+  hot.threads = Threads(options);
+  hot.days = Days(options);
+  hot.repeats = options.GetInt("repeats", hot.repeats, 1, 1000);
+  return [hot](BenchJson& json) { return Run(hot, json); };
 }
+
+}  // namespace pad

@@ -3,6 +3,10 @@
 // tail ablation called out in DESIGN.md §6.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "src/apps/workload.h"
 #include "src/auction/exchange.h"
@@ -164,19 +168,22 @@ class JsonCollector : public benchmark::ConsoleReporter {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "micro");
-  // Hide --json from google-benchmark's flag parser.
+  // Take `--json <path>` (or `--json=<path>`) out before google-benchmark
+  // parses the rest.
+  std::string json_path;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      ++i;
+      json_path = argv[++i];
       continue;
     }
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
+      json_path = argv[i] + 7;
       continue;
     }
     args.push_back(argv[i]);
   }
+  pad::bench::BenchJson json("micro", json_path);
   int filtered_argc = static_cast<int>(args.size());
   args.push_back(nullptr);
   benchmark::Initialize(&filtered_argc, args.data());

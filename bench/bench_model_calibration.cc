@@ -72,10 +72,9 @@ void Run(int num_users, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "model_calibration");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::ModelCalibration(const Options& options) {
+  return UsersExperiment(options, 250, Run);
 }
+
+}  // namespace pad

@@ -4,20 +4,22 @@
 // policy settings.
 //
 // Each population size is one independent paired run, so the seven points
-// fan out across the sweep engine; `--threads N` sets the concurrency and
-// leaves every number bit-identical to the serial run.
+// fan out across the sweep engine; `threads=N` sets the concurrency and
+// leaves every number bit-identical to the serial run. E10 reads no other
+// key.
 //
-// E17 — Population scale ceiling: `--scale_users N` switches to the
+// E17 — Population scale ceiling: `scale_users=N` switches to the
 // streaming sharded engine (src/core/shard_engine.h) and runs one paired
 // comparison at N users under a resident-memory budget, reporting wall-clock
-// throughput (users/s) and peak RSS; `--threads N` sets the engine's worker
-// lanes. This is the mode that produces the
-// checked-in BENCH_population_scale.json baseline (one command, wrapped):
+// throughput (users/s) and peak RSS; `threads=N` sets the engine's worker
+// lanes, and `market_users`, `max_resident_users` and `days` shape the run.
+// This is the mode that produces the checked-in BENCH_population_scale.json
+// baseline (one command, wrapped):
 //
-//   $ bench_population_scale --scale_users 1000000 --market_users 2000
-//         --max_resident_users 20000 --days 9 --json BENCH_population_scale.json
+//   $ adpad_bench population_scale scale_users=1000000 market_users=2000
+//         max_resident_users=20000 days=9 json=BENCH_population_scale.json
 //
-// `--checkpoint_overhead` additionally repeats the run with the crash-recovery
+// `checkpoint_overhead=1` additionally repeats the run with the crash-recovery
 // journal (src/core/checkpoint.h) enabled and reports wall_on/wall_off as the
 // `checkpoint_overhead` metric, asserting the journaled run's digests match.
 #include <chrono>
@@ -49,40 +51,19 @@ void RunPopulationEffect(const SweepOptions& sweep, bench::BenchJson& json) {
 }
 
 struct ScaleOptions {
-  int64_t users = 0;
-  int64_t market_users = 2000;
-  int64_t max_resident_users = 20000;
+  int users = 0;
+  int market_users = 2000;
+  int max_resident_users = 20000;
   double days = 9.0;  // 7 warmup + 2 scored keeps 1M users tractable.
-  // --checkpoint_overhead: repeat the run with the crash-recovery journal
+  // checkpoint_overhead=1: repeat the run with the crash-recovery journal
   // enabled (fsync per market) and report wall_on/wall_off. Off by default
   // because it doubles the bench time at full scale.
   bool measure_checkpoint = false;
 };
 
-ScaleOptions ScaleOptionsFromArgv(int argc, char** argv) {
-  ScaleOptions options;
-  auto int_flag = [&](const char* name, int64_t* out, int i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      *out = std::atoll(argv[i + 1]);
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    int_flag("--scale_users", &options.users, i);
-    int_flag("--market_users", &options.market_users, i);
-    int_flag("--max_resident_users", &options.max_resident_users, i);
-    if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      options.days = std::atof(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--checkpoint_overhead") == 0) {
-      options.measure_checkpoint = true;
-    }
-  }
-  return options;
-}
-
 int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
                     bench::BenchJson& json) {
-  PadConfig config = bench::StandardConfig(static_cast<int>(scale.users));
+  PadConfig config = bench::StandardConfig(scale.users);
   config.population.horizon_s = scale.days * kDay;
   config.market_users = scale.market_users;
   // Demand scales per market inside the engine; pin the population-wide rate
@@ -92,7 +73,7 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
   options.max_resident_users = scale.max_resident_users;
   options.event_digests = false;
   if (const std::string error = ValidateShardOptions(config, options); !error.empty()) {
-    std::cerr << "bench_population_scale: " << error << "\n";
+    std::cerr << "population_scale: " << error << "\n";
     return 1;
   }
 
@@ -139,7 +120,7 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
   if (scale.measure_checkpoint) {
     const char* tmpdir = std::getenv("TMPDIR");
     const std::string journal = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
-                                "/bench_population_scale.ckpt";
+                                "/population_scale.ckpt";
     std::remove(journal.c_str());
     ShardEngineOptions journaled = options;
     journaled.checkpoint_path = journal;
@@ -150,13 +131,13 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
     const double ck_wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - ck_start).count();
     if (!ck_result.ok()) {
-      std::cerr << "bench_population_scale: checkpointed run failed: "
+      std::cerr << "population_scale: checkpointed run failed: "
                 << ck_result.status().ToString() << "\n";
       return ExitCodeFor(ck_result.status());
     }
     // Journaling must never change the numbers, only the wall clock.
     if (ck_result->combined_pad_digest != result.combined_pad_digest) {
-      std::cerr << "bench_population_scale: checkpointed run diverged from plain run\n";
+      std::cerr << "population_scale: checkpointed run diverged from plain run\n";
       return ExitCodeFor(Status::Internal("digest mismatch with journaling enabled"));
     }
     std::remove(journal.c_str());
@@ -173,19 +154,23 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  const pad::SweepOptions sweep = pad::bench::SweepOptionsFromArgv(argc, argv);
-  const pad::ScaleOptions scale = pad::ScaleOptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "population_scale");
-  if (scale.users > 0) {
-    const int status = pad::RunScaleCeiling(scale, sweep, json);
-    if (status != 0) {
-      return status;
-    }
-  } else {
-    pad::RunPopulationEffect(sweep, json);
+bench::Experiment bench::PopulationScale(const Options& options) {
+  const SweepOptions sweep = Sweep(options);
+  if (!options.Has("scale_users")) {
+    return [sweep](BenchJson& json) {
+      RunPopulationEffect(sweep, json);
+      return 0;
+    };
   }
-  return json.Flush() ? 0 : 1;
+  ScaleOptions scale;
+  scale.users = options.GetInt("scale_users", 1, 1, std::numeric_limits<int>::max());
+  scale.market_users = MarketUsers(options, scale.market_users);
+  scale.max_resident_users = options.GetInt("max_resident_users", scale.max_resident_users, 0,
+                                            std::numeric_limits<int>::max());
+  scale.days = Days(options);
+  scale.measure_checkpoint = options.GetBool("checkpoint_overhead", false);
+  return [scale, sweep](BenchJson& json) { return RunScaleCeiling(scale, sweep, json); };
 }
+
+}  // namespace pad

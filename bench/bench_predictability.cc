@@ -74,10 +74,9 @@ void Run(int num_users, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "predictability");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 400), json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::Predictability(const Options& options) {
+  return UsersExperiment(options, 400, Run);
 }
+
+}  // namespace pad

@@ -11,6 +11,7 @@ namespace {
 void Run(int num_users, const SweepOptions& sweep, bench::BenchJson& json) {
   PadConfig config = bench::StandardConfig(num_users);
   config.use_noisy_oracle = true;
+  config.oracle_noise_sigma = 0.0;  // A noisy oracle needs a sigma to validate.
   const SimInputs inputs = GenerateInputs(config);
   const BaselineResult baseline = RunBaseline(config, inputs);
 
@@ -41,11 +42,9 @@ void Run(int num_users, const SweepOptions& sweep, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "prediction_noise");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), pad::bench::SweepOptionsFromArgv(argc, argv),
-           json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::PredictionNoise(const Options& options) {
+  return SweepExperiment(options, Run);
 }
+
+}  // namespace pad

@@ -75,10 +75,9 @@ void Run(int num_users, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "prefetch_savings");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 300), json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::PrefetchSavings(const Options& options) {
+  return UsersExperiment(options, 300, Run);
 }
+
+}  // namespace pad

@@ -21,7 +21,8 @@
 //   * every request is eventually answered at every chaos level (the retry
 //     budget absorbs the plan's faults; abandoned == 0);
 //   * per reconnect segment, the answered responses replay exactly against
-//     DecideBatch (no server-side corruption under torn tails and retries).
+//     DecideBatch (no server-side corruption under torn tails and retries;
+//     bench::ServeLoad in bench_serving.h, which E21 runs too).
 //     This replay, not cross-level digest equality, is the integrity proof:
 //     a reconnect legitimately starts a fresh sale session
 //     (session_adapter.h), so where chaos cuts the stream changes which
@@ -31,45 +32,14 @@
 //   * degradation is monotone: a higher fault rate induces at least as many
 //     cuts, refused connects, and retries (decision-set nesting, chaos.h).
 //
-//   $ bench_serving_chaos --json BENCH_serving_chaos.json
-//   $ bench_serving_chaos 1024 --connections 8 --requests 400
-#include <thread>
+//   $ adpad_bench serving_chaos json=BENCH_serving_chaos.json
+//   $ adpad_bench serving_chaos users=1024 connections=8 requests=400
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/common/bytes.h"
-#include "src/serve/ad_server.h"
-#include "src/serve/latency_histogram.h"
-#include "src/serve/load_gen.h"
-#include "src/serve/session_adapter.h"
+#include "bench/bench_serving.h"
 
 namespace pad {
 namespace {
-
-struct ChaosBenchOptions {
-  int users = 256;
-  int connections = 6;
-  int requests = 150;
-  uint64_t seed = 424242;
-};
-
-ChaosBenchOptions OptionsFromArgv(int argc, char** argv) {
-  ChaosBenchOptions options;
-  options.users = bench::UsersFromArgv(argc, argv, options.users);
-  for (int i = 1; i < argc; ++i) {
-    auto int_flag = [&](const char* name, int* out) {
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-        *out = std::atoi(argv[i + 1]);
-      }
-    };
-    int_flag("--connections", &options.connections);
-    int_flag("--requests", &options.requests);
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = static_cast<uint64_t>(std::atoll(argv[i + 1]));
-    }
-  }
-  return options;
-}
 
 // Fixed schedule seeds: the same seeds at every rate, so the decision sets
 // nest across levels and degradation is monotone by construction.
@@ -85,39 +55,7 @@ struct LevelResult {
   double goodput_rps = 0.0;
 };
 
-// Replays every reconnect segment of every connection against DecideBatch:
-// the server must have decided exactly the answered requests of that
-// segment, in order, byte for byte. Returns false (and complains) on the
-// first corrupted payload.
-bool VerifySegments(const DecisionEngine& engine, const LoadGenOptions& load,
-                    const LoadGenReport& report) {
-  for (size_t c = 0; c < report.captured_frames.size(); ++c) {
-    const std::vector<WireRequest> plan = BuildRequestPlan(load, static_cast<int>(c));
-    const auto& frames = report.captured_frames[c];
-    size_t i = 0;
-    while (i < frames.size()) {
-      const int32_t segment = frames[i].segment;
-      std::vector<WireRequest> asked;
-      size_t first = i;
-      while (i < frames.size() && frames[i].segment == segment) {
-        asked.push_back(plan[static_cast<size_t>(frames[i].request_index)]);
-        ++i;
-      }
-      const std::vector<WireResponse> expected = engine.DecideBatch(asked);
-      for (size_t k = 0; k < expected.size(); ++k) {
-        if (EncodeResponsePayload(expected[k]) != frames[first + k].payload) {
-          std::cerr << "bench_serving_chaos: corrupted decision (connection " << c
-                    << " segment " << segment << " request "
-                    << frames[first + k].request_index << ")\n";
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-int RunLevel(const DecisionEngine& engine, const ChaosBenchOptions& bench,
+int RunLevel(const DecisionEngine& engine, const bench::ServingOptions& bench,
              const std::string& name, double rate, LevelResult* out) {
   AdServerOptions server_options;
   server_options.max_sessions = bench.connections + 8;
@@ -134,20 +72,11 @@ int RunLevel(const DecisionEngine& engine, const ChaosBenchOptions& bench,
   server_options.chaos.stall_rate = rate;
   server_options.chaos.stall_ms = 1.0;
 
-  AdServer server(engine, server_options);
-  if (const Status started = server.Start(); !started.ok()) {
-    std::cerr << "bench_serving_chaos: " << started.ToString() << "\n";
-    return 1;
-  }
-  std::thread server_thread([&server] { server.Run(); });
-
   LoadGenOptions load;
-  load.port = server.port();
   load.connections = bench.connections;
   load.requests_per_connection = bench.requests;
   load.client_count = engine.num_clients();
-  load.seed = bench.seed;
-  load.capture_responses = true;
+  load.seed = static_cast<uint64_t>(bench.seed);
   // Retry budget sized so the fault plan can never exhaust it (nine
   // independently-decided cuts in a row at rate 0.2 ≈ 5e-7): every request
   // is re-earned, none abandoned.
@@ -164,61 +93,33 @@ int RunLevel(const DecisionEngine& engine, const ChaosBenchOptions& bench,
   load.chaos.stall_rate = rate;
   load.chaos.stall_ms = 1.0;
 
-  LatencyHistogram latency;
-  const Status run = RunLoadGen(load, latency, &out->report);
-  server.RequestDrain();
-  server_thread.join();
-  if (!run.ok()) {
-    std::cerr << "bench_serving_chaos: " << run.ToString() << "\n";
-    return 1;
-  }
-
-  const LoadGenReport& report = out->report;
-  const int64_t want =
-      static_cast<int64_t>(bench.connections) * bench.requests;
-  if (report.responses != want || report.abandoned != 0 || report.errors != 0) {
-    std::cerr << "bench_serving_chaos: lossy run at chaos=" << rate
-              << " (responses=" << report.responses << "/" << want
-              << " abandoned=" << report.abandoned << " errors=" << report.errors
-              << ")\n";
-    return 1;
-  }
-  if (!VerifySegments(engine, load, report)) {
-    return 1;
-  }
-
-  // Order-independent decision digest over the captured payloads. Fresh
-  // sessions on reconnect make the exact bytes a function of where the fault
-  // plan cut each stream, so every level pins its own digest.
-  uint64_t digest = 0;
-  for (const auto& connection : report.captured_frames) {
-    uint64_t connection_digest = kFnvOffset;
-    for (const auto& frame : connection) {
-      connection_digest = FnvFoldBytes(connection_digest, frame.payload);
-    }
-    digest += connection_digest;
+  bench::ServedLoad served;
+  if (const int status = bench::ServeLoad("serving_chaos (chaos=" + name + ")", engine,
+                                          server_options, load, &served);
+      status != 0) {
+    return status;
   }
   out->name = name;
   out->rate = rate;
-  out->digest = digest;
-  out->p50_us = static_cast<double>(latency.ValueAtQuantile(0.50)) / 1000.0;
-  out->p99_us = static_cast<double>(latency.ValueAtQuantile(0.99)) / 1000.0;
-  out->p999_us = static_cast<double>(latency.ValueAtQuantile(0.999)) / 1000.0;
+  out->report = std::move(served.report);
+  out->digest = served.digest;
+  out->p50_us = served.p50_us;
+  out->p99_us = served.p99_us;
+  out->p999_us = served.p999_us;
+  const LoadGenReport& report = out->report;
   out->goodput_rps =
       report.wall_s > 0.0 ? static_cast<double>(report.responses) / report.wall_s : 0.0;
   return 0;
 }
 
-int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
-  const std::string label_base = "users=" + std::to_string(bench.users) +
-                                 " connections=" + std::to_string(bench.connections) +
-                                 " requests=" + std::to_string(bench.requests);
+int Run(const bench::ServingOptions& bench, bench::BenchJson& json) {
+  const std::string label_base = bench.Label();
   PrintBanner(std::cout, "E23: serving under chaos (" + label_base + ")");
 
   const ServeConfig config = DefaultServeConfig(bench.users);
   StatusOr<std::unique_ptr<DecisionEngine>> engine = DecisionEngine::Create(config);
   if (!engine.ok()) {
-    std::cerr << "bench_serving_chaos: " << engine.status().ToString() << "\n";
+    std::cerr << "serving_chaos: " << engine.status().ToString() << "\n";
     return 1;
   }
 
@@ -237,7 +138,7 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
   const LevelResult& none = results[0];
   if (none.report.retries != 0 || none.report.reconnects != 0 ||
       none.report.chaos_cuts != 0 || none.report.chaos_connect_failures != 0) {
-    std::cerr << "bench_serving_chaos: chaos events fired at rate 0\n";
+    std::cerr << "serving_chaos: chaos events fired at rate 0\n";
     return 1;
   }
   for (size_t i = 1; i < results.size(); ++i) {
@@ -246,7 +147,7 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
     if (higher.chaos_cuts <= lower.chaos_cuts ||
         higher.chaos_connect_failures < lower.chaos_connect_failures ||
         higher.retries < lower.retries || higher.reconnects < lower.reconnects) {
-      std::cerr << "bench_serving_chaos: degradation not monotone (" << results[i].name
+      std::cerr << "serving_chaos: degradation not monotone (" << results[i].name
                 << " vs " << results[i - 1].name << ")\n";
       return 1;
     }
@@ -297,14 +198,11 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  const pad::ChaosBenchOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "serving_chaos");
-  const int status = pad::Run(options, json);
-  if (status != 0) {
-    return status;
-  }
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::ServingChaos(const Options& options) {
+  const ServingOptions serving =
+      ReadServingOptions(options, {.users = 256, .connections = 6, .requests = 150});
+  return [serving](BenchJson& json) { return Run(serving, json); };
 }
+
+}  // namespace pad

@@ -16,19 +16,18 @@
 //
 // The two runs must also agree digest-for-digest — the bench doubles as an
 // end-to-end check of the scheduler half of the determinism contract and
-// exits non-zero on a mismatch, as it does when `--min_speedup` (the CI
+// exits non-zero on a mismatch, as it does when `min_speedup=` (the CI
 // acceptance gate) is not met.
 //
 // The checked-in BENCH_skewed_population.json baseline comes from:
 //
-//   $ bench_skewed_population --json BENCH_skewed_population.json
+//   $ adpad_bench skewed_population json=BENCH_skewed_population.json
 //
 // which runs the full-scale row (3200 users, heavy markets ~100x light) and
-// the CI-sized row perf-smoke regenerates on every push.
+// the CI-sized row perf-smoke regenerates on every push (`ci_only=1`); the
+// two cases are E22's too (bench::SpeedupExperiment).
 #include <chrono>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/check.h"
@@ -37,33 +36,11 @@
 namespace pad {
 namespace {
 
-struct SkewBenchCase {
-  std::string name;
-  int64_t users = 0;
-  int64_t market_users = 0;
-  double skew_fraction = 0.125;
-  double skew_multiplier = 100.0;
-  int workers = 8;
-};
-
-struct SkewBenchOptions {
-  // Default: the checked-in baseline — full-scale acceptance row + CI row.
-  // --ci_only keeps just the CI-sized row (what perf-smoke runs).
-  bool ci_only = false;
-  double min_speedup = 0.0;  // --min_speedup: fail below this stealing win.
-};
-
-SkewBenchOptions OptionsFromArgv(int argc, char** argv) {
-  SkewBenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci_only") == 0) {
-      options.ci_only = true;
-    } else if (std::strcmp(argv[i], "--min_speedup") == 0 && i + 1 < argc) {
-      options.min_speedup = std::atof(argv[i + 1]);
-    }
-  }
-  return options;
-}
+// Every case skews the same way: the first eighth of the users carry 100x
+// the session rate, and 8 workers run the markets.
+constexpr double kSkewFraction = 0.125;
+constexpr double kSkewMultiplier = 100.0;
+constexpr int kWorkers = 8;
 
 struct ScheduleRun {
   ShardedComparison result;
@@ -73,10 +50,9 @@ struct ScheduleRun {
   double imbalance = 1.0;    // makespan / (total / workers).
 };
 
-ScheduleRun RunSchedule(const PadConfig& config, const SkewBenchCase& bench_case,
-                        ScheduleMode schedule) {
+ScheduleRun RunSchedule(const PadConfig& config, ScheduleMode schedule) {
   ShardEngineOptions options;
-  options.threads = bench_case.workers;
+  options.threads = kWorkers;
   options.schedule = schedule;
   options.event_digests = false;
   PAD_CHECK(ValidateShardOptions(config, options).empty());
@@ -87,43 +63,34 @@ ScheduleRun RunSchedule(const PadConfig& config, const SkewBenchCase& bench_case
   run.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-  std::vector<double> worker_busy(static_cast<size_t>(run.result.workers_used), 0.0);
-  for (int m = 0; m < run.result.num_markets; ++m) {
-    const int worker = run.result.market_workers[static_cast<size_t>(m)];
-    PAD_CHECK(worker >= 0 && worker < run.result.workers_used);
-    worker_busy[static_cast<size_t>(worker)] += run.result.market_busy_s[static_cast<size_t>(m)];
-  }
-  for (double busy : worker_busy) {
-    run.makespan_s = std::max(run.makespan_s, busy);
-    run.total_busy_s += busy;
-  }
+  run.makespan_s = bench::Makespan(run.result, run.result.workers_used, &run.total_busy_s);
   const double ideal = run.total_busy_s / static_cast<double>(run.result.workers_used);
   run.imbalance = ideal > 0.0 ? run.makespan_s / ideal : 1.0;
   return run;
 }
 
-int RunCase(const SkewBenchCase& bench_case, double min_speedup, bench::BenchJson& json) {
-  PadConfig config = bench::StandardConfig(static_cast<int>(bench_case.users));
+int RunCase(const bench::SpeedupCase& bench_case, bench::BenchJson& json, double* speedup_out) {
+  PadConfig config = bench::StandardConfig(bench_case.users);
   config.population.horizon_s = 9.0 * kDay;  // 7 warmup + 2 scored.
   config.market_users = bench_case.market_users;
-  config.population.skew_heavy_fraction = bench_case.skew_fraction;
-  config.population.skew_rate_multiplier = bench_case.skew_multiplier;
+  config.population.skew_heavy_fraction = kSkewFraction;
+  config.population.skew_rate_multiplier = kSkewMultiplier;
 
   const std::string label = "users=" + std::to_string(bench_case.users) +
                             " market_users=" + std::to_string(bench_case.market_users) +
-                            " skew=" + FormatDouble(bench_case.skew_fraction, 3) + "x" +
-                            FormatDouble(bench_case.skew_multiplier, 0) +
-                            " workers=" + std::to_string(bench_case.workers);
+                            " skew=" + FormatDouble(kSkewFraction, 3) + "x" +
+                            FormatDouble(kSkewMultiplier, 0) +
+                            " workers=" + std::to_string(kWorkers);
   PrintBanner(std::cout, "E19: work stealing under skew (" + bench_case.name + ": " + label + ")");
 
-  const ScheduleRun fixed = RunSchedule(config, bench_case, ScheduleMode::kStatic);
-  const ScheduleRun stealing = RunSchedule(config, bench_case, ScheduleMode::kStealing);
+  const ScheduleRun fixed = RunSchedule(config, ScheduleMode::kStatic);
+  const ScheduleRun stealing = RunSchedule(config, ScheduleMode::kStealing);
 
   // The schedule is execution-only: a digest divergence here is a scheduler
   // bug, not a perf regression.
   if (fixed.result.combined_pad_digest != stealing.result.combined_pad_digest ||
       fixed.result.combined_baseline_digest != stealing.result.combined_baseline_digest) {
-    std::cerr << "bench_skewed_population: static and stealing runs diverged\n";
+    std::cerr << "skewed_population: static and stealing runs diverged\n";
     return 1;
   }
 
@@ -160,44 +127,14 @@ int RunCase(const SkewBenchCase& bench_case, double min_speedup, bench::BenchJso
   json.Add("users_per_sec", users_per_sec, "users/s", label);
   json.Add("wall_static_s", fixed.wall_s, "s", label);
   json.Add("wall_stealing_s", stealing.wall_s, "s", label);
-
-  if (min_speedup > 0.0 && speedup < min_speedup) {
-    std::cerr << "bench_skewed_population: steal_speedup " << FormatDouble(speedup, 2)
-              << " below required " << FormatDouble(min_speedup, 2) << "\n";
-    return 1;
-  }
+  *speedup_out = speedup;
   return 0;
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  const pad::SkewBenchOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "skewed_population");
-
-  std::vector<pad::SkewBenchCase> cases;
-  if (!options.ci_only) {
-    // Acceptance scale: 32 markets, the first 4 carrying ~100x the cost; a
-    // static 8-worker split hands all four to worker 0.
-    pad::SkewBenchCase full;
-    full.name = "full";
-    full.users = 3200;
-    full.market_users = 100;
-    cases.push_back(full);
-  }
-  // CI scale: same shape (32 markets, 4 heavy at ~100x), an eighth the users.
-  pad::SkewBenchCase ci;
-  ci.name = "ci";
-  ci.users = 640;
-  ci.market_users = 20;
-  cases.push_back(ci);
-
-  for (const pad::SkewBenchCase& bench_case : cases) {
-    const int status = pad::RunCase(bench_case, options.min_speedup, json);
-    if (status != 0) {
-      return status;
-    }
-  }
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::SkewedPopulation(const Options& options) {
+  return SpeedupExperiment(options, "skewed_population", "steal_speedup", RunCase);
 }
+
+}  // namespace pad

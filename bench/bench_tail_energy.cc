@@ -66,10 +66,12 @@ void Run(bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "tail_energy");
-  pad::Run(json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::TailEnergy(const Options& /*options*/) {
+  return [](BenchJson& json) {
+    Run(json);
+    return 0;
+  };
 }
+
+}  // namespace pad

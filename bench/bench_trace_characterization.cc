@@ -91,10 +91,9 @@ void Run(int num_users, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "trace_characterization");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 1700), json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::TraceCharacterization(const Options& options) {
+  return UsersExperiment(options, 1700, Run);
 }
+
+}  // namespace pad

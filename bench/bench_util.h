@@ -1,26 +1,31 @@
-// Shared setup for the experiment-regeneration harnesses (bench_*).
+// Shared setup for the experiment bodies that `adpad_bench` dispatches to.
 //
-// Every harness prints the rows/series of one table or figure from the
+// Every experiment prints the rows/series of one table or figure from the
 // paper's evaluation (see DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for paper-vs-measured). Populations are scaled down from
-// the paper's 1,700 users so the full suite runs in minutes; pass a user
-// count as argv[1] to run any harness at full scale, and `--threads N` to
-// fan the sweep's independent runs across N threads (results are
-// bit-identical for any N — see src/core/sweep.h).
+// the paper's 1,700 users so the full suite runs in minutes; `users=N` runs
+// an experiment at full scale, and `threads=N` fans a sweep's independent
+// runs across N threads (results are bit-identical for any N — see
+// src/core/sweep.h).
 #ifndef ADPAD_BENCH_BENCH_UTIL_H_
 #define ADPAD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/bench_baseline.h"
+#include "src/common/check.h"
+#include "src/common/options.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
 #include "src/core/pad_simulation.h"
+#include "src/core/shard_engine.h"
 #include "src/core/sweep.h"
 
 namespace pad {
@@ -37,36 +42,6 @@ inline PadConfig StandardConfig(int num_users) {
   return config;
 }
 
-inline int UsersFromArgv(int argc, char** argv, int default_users) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      if (std::strchr(argv[i], '=') == nullptr) {
-        ++i;  // Space-separated flag: skip its value too.
-      }
-      continue;
-    }
-    const int users = std::atoi(argv[i]);
-    if (users > 0) {
-      return users;
-    }
-  }
-  return default_users;
-}
-
-// `--threads N` (or `--threads=N`): concurrency of the sweep fan-out.
-// Defaults to 1 (serial); 0 asks the hardware.
-inline SweepOptions SweepOptionsFromArgv(int argc, char** argv) {
-  SweepOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      options.threads = std::atoi(argv[i] + 10);
-    }
-  }
-  return options;
-}
-
 inline std::string Pct(double fraction, int precision = 1) {
   return FormatDouble(100.0 * fraction, precision) + "%";
 }
@@ -77,21 +52,14 @@ inline std::string Pct(double fraction, int precision = 1) {
 inline double DigestHi(uint64_t digest) { return static_cast<double>(digest >> 32); }
 inline double DigestLo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
-// Machine-readable output: `--json <path>` makes the harness also write its
-// results as BenchRow JSON (src/common/bench_baseline.h). Collect rows while
-// printing the human tables, then Flush() before exiting. Flush is also run
-// by the destructor so early returns still write the file.
+// Machine-readable output: a non-empty `path` makes the experiment also
+// write its results there as BenchRow JSON (src/common/bench_baseline.h).
+// Collect rows while printing the human tables, then Flush() before exiting.
+// Flush is also run by the destructor so early returns still write the file.
 class BenchJson {
  public:
-  BenchJson(int argc, char** argv, std::string bench) : bench_(std::move(bench)) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        path_ = argv[i + 1];
-      } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-        path_ = argv[i] + 7;
-      }
-    }
-  }
+  BenchJson(std::string bench, std::string path)
+      : bench_(std::move(bench)), path_(std::move(path)) {}
   ~BenchJson() { Flush(); }
   BenchJson(const BenchJson&) = delete;
   BenchJson& operator=(const BenchJson&) = delete;
@@ -113,7 +81,7 @@ class BenchJson {
     Add("revenue_ratio", comparison.RevenueRatio(), "fraction", config);
   }
 
-  // Writes the collected rows if --json was given. Returns false (after
+  // Writes the collected rows if a path was given. Returns false (after
   // printing the error) only on IO failure.
   bool Flush() {
     if (path_.empty() || flushed_) {
@@ -122,7 +90,7 @@ class BenchJson {
     flushed_ = true;
     std::string error;
     if (!SaveBenchRows(path_, rows_, &error)) {
-      std::cerr << "bench --json: " << error << "\n";
+      std::cerr << bench_ << " json: " << error << "\n";
       return false;
     }
     std::cout << "wrote " << rows_.size() << " bench rows to " << path_ << "\n";
@@ -154,6 +122,122 @@ inline std::vector<std::string> MetricsHeader(const std::string& knob) {
   return {knob,       "ad_energy_savings", "cache_hit", "sla_violation",
           "rev_loss", "replication",       "revenue_vs_baseline"};
 }
+
+// An experiment reads its keys from the command line's Options and returns
+// the run, so adpad_bench can refuse a bad or unread key before any work
+// starts. The run returns the process exit status.
+using Experiment = std::function<int(BenchJson& json)>;
+
+// The keys several experiments share, each with its one range.
+inline int Users(const Options& options, int fallback) {
+  return options.GetInt("users", fallback, 1, std::numeric_limits<int>::max());
+}
+inline int Threads(const Options& options) { return options.GetInt("threads", 1, 0, 1024); }
+inline SweepOptions Sweep(const Options& options) { return SweepOptions{Threads(options)}; }
+inline int MarketUsers(const Options& options, int fallback) {
+  return options.GetInt("market_users", fallback, 0, std::numeric_limits<int>::max());
+}
+inline double Days(const Options& options) { return options.GetDouble("days", 9.0, 1.0, 3650.0); }
+
+// The two shapes most experiments share, each with a run that cannot fail:
+// users= alone (default `fallback`), or a sweep's users= (default 250) and
+// threads=.
+inline Experiment UsersExperiment(const Options& options, int fallback,
+                                  void (*run)(int users, BenchJson& json)) {
+  return [users = Users(options, fallback), run](BenchJson& json) {
+    run(users, json);
+    return 0;
+  };
+}
+inline Experiment SweepExperiment(const Options& options,
+                                  void (*run)(int users, const SweepOptions& sweep,
+                                              BenchJson& json)) {
+  return [users = Users(options, 250), sweep = Sweep(options), run](BenchJson& json) {
+    run(users, sweep, json);
+    return 0;
+  };
+}
+
+// E19 and E22 run the same two populations: the full-scale acceptance case
+// (3200 users in 32 markets of 100) and the CI case perf-smoke regenerates
+// (640 users in 32 markets of 20). `ci_only=1` keeps just the CI case;
+// `min_speedup=X` fails the run once a case's makespan speedup falls below X.
+struct SpeedupCase {
+  std::string name;
+  int users = 0;
+  int market_users = 0;
+};
+
+// Runs one case: prints its table, adds its rows, sets *speedup, and
+// returns 0 or the exit status of a failed run.
+using SpeedupCaseRun = int (*)(const SpeedupCase& bench_case, BenchJson& json, double* speedup);
+
+inline Experiment SpeedupExperiment(const Options& options, std::string bench,
+                                    std::string metric, SpeedupCaseRun run_case) {
+  const bool ci_only = options.GetBool("ci_only", false);
+  const double min_speedup =
+      options.GetDouble("min_speedup", 0.0, 0.0, std::numeric_limits<double>::infinity());
+  return [=](BenchJson& json) {
+    std::vector<SpeedupCase> cases;
+    if (!ci_only) {
+      cases.push_back({"full", 3200, 100});
+    }
+    cases.push_back({"ci", 640, 20});
+    for (const SpeedupCase& bench_case : cases) {
+      double speedup = 0.0;
+      if (const int status = run_case(bench_case, json, &speedup); status != 0) {
+        return status;
+      }
+      if (min_speedup > 0.0 && speedup < min_speedup) {
+        std::cerr << bench << ": " << metric << " " << FormatDouble(speedup, 2)
+                  << " below required " << FormatDouble(min_speedup, 2) << "\n";
+        return 1;
+      }
+    }
+    return 0;
+  };
+}
+
+// A run's makespan: the largest per-worker sum of market_busy_s (thread-CPU
+// seconds), folded over the `workers` that ran its markets. The sum over all
+// workers lands in *total_busy_s.
+inline double Makespan(const ShardedComparison& result, int workers, double* total_busy_s) {
+  std::vector<double> worker_busy(static_cast<size_t>(workers), 0.0);
+  for (int m = 0; m < result.num_markets; ++m) {
+    const int worker = result.market_workers[static_cast<size_t>(m)];
+    PAD_CHECK(worker >= 0 && worker < workers);
+    worker_busy[static_cast<size_t>(worker)] += result.market_busy_s[static_cast<size_t>(m)];
+  }
+  double makespan = 0.0;
+  *total_busy_s = 0.0;
+  for (double busy : worker_busy) {
+    makespan = std::max(makespan, busy);
+    *total_busy_s += busy;
+  }
+  return makespan;
+}
+
+// The experiments adpad_bench dispatches to, one per bench_<name>.cc.
+Experiment EnergyBreakdown(const Options& options);        // E1
+Experiment TailEnergy(const Options& options);             // E2
+Experiment TraceCharacterization(const Options& options);  // E3
+Experiment Predictability(const Options& options);         // E4
+Experiment PrefetchSavings(const Options& options);        // E5
+Experiment Overbooking(const Options& options);            // E6
+Experiment Tradeoff(const Options& options);               // E7
+Experiment DeadlineSensitivity(const Options& options);    // E8
+Experiment RadioModel(const Options& options);             // E9
+Experiment PopulationScale(const Options& options);        // E10, E17
+Experiment PredictionNoise(const Options& options);        // E11
+Experiment Targeting(const Options& options);              // E13
+Experiment WifiOffload(const Options& options);            // E14
+Experiment ModelCalibration(const Options& options);       // E15
+Experiment FaultTolerance(const Options& options);         // E16
+Experiment SkewedPopulation(const Options& options);       // E19
+Experiment HotPath(const Options& options);                // E20
+Experiment ServingLatency(const Options& options);         // E21
+Experiment MultiprocScale(const Options& options);         // E22
+Experiment ServingChaos(const Options& options);           // E23
 
 }  // namespace bench
 }  // namespace pad

@@ -52,10 +52,9 @@ void Run(int num_users, bench::BenchJson& json) {
 }
 
 }  // namespace
-}  // namespace pad
 
-int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "wifi_offload");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), json);
-  return json.Flush() ? 0 : 1;
+bench::Experiment bench::WifiOffload(const Options& options) {
+  return UsersExperiment(options, 250, Run);
 }
+
+}  // namespace pad

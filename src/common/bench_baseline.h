@@ -1,14 +1,15 @@
 // Machine-readable bench output and baseline comparison.
 //
-// Every bench_* harness can emit its results as a JSON array of rows
+// Every bench experiment can emit its results as a JSON array of rows
 //
 //   [{"bench": "population_scale", "metric": "users_per_s",
 //     "value": 1234.5, "unit": "users/s", "config": "users=2000 days=9"}]
 //
-// via `--json <path>` (see bench/bench_util.h). A checked-in baseline file
-// (BENCH_*.json) plus tools/bench_compare turn any harness into a perf
-// regression gate: compare rows metric-by-metric under a per-metric relative
-// tolerance and exit nonzero when a metric drifted or disappeared.
+// via `adpad_bench <experiment> json=<path>` (see bench/bench_util.h). A
+// checked-in baseline file (BENCH_*.json) plus tools/bench_compare turn any
+// experiment into a perf regression gate: compare rows metric-by-metric under
+// a per-metric relative tolerance and exit nonzero when a metric drifted or
+// disappeared.
 #ifndef ADPAD_SRC_COMMON_BENCH_BASELINE_H_
 #define ADPAD_SRC_COMMON_BENCH_BASELINE_H_
 

@@ -1,5 +1,6 @@
 #include "src/common/options.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -148,6 +149,26 @@ int Options::GetInt(const std::string& key, int fallback) const {
   return as_int;
 }
 
+int Options::GetInt(const std::string& key, int fallback, int lo, int hi) const {
+  const int value = GetInt(key, fallback);
+  if (value < lo || value > hi) {
+    RecordError(key, "must be in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    return fallback;
+  }
+  return value;
+}
+
+double Options::GetDouble(const std::string& key, double fallback, double lo, double hi) const {
+  const double value = GetDouble(key, fallback);
+  if (!(std::isfinite(value) && value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << "must be a finite number in [" << lo << ", " << hi << "]";
+    RecordError(key, range.str());
+    return fallback;
+  }
+  return value;
+}
+
 bool Options::GetBool(const std::string& key, bool fallback) const {
   read_[key] = true;
   const auto it = values_.find(key);
@@ -165,7 +186,7 @@ bool Options::GetBool(const std::string& key, bool fallback) const {
   return fallback;
 }
 
-void Options::RecordError(const std::string& key, const char* what) const {
+void Options::RecordError(const std::string& key, const std::string& what) const {
   if (error_.empty()) {
     error_ = "option '" + key + "' " + what + " (value '" + values_.at(key) + "')";
   }

@@ -35,6 +35,12 @@ class Options {
   int GetInt(const std::string& key, int fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
+  // The same getters restricted to [lo, hi]: a value outside it, or a
+  // double that is NaN or infinite, returns the fallback and records
+  // "option '<key>' must be in [lo, hi]". The fallback must lie in range.
+  int GetInt(const std::string& key, int fallback, int lo, int hi) const;
+  double GetDouble(const std::string& key, double fallback, double lo, double hi) const;
+
   // First type error hit by any Get* ("" when all reads parsed). Check after
   // reading every option; the offending key is named in the message.
   const std::string& error() const { return error_; }
@@ -45,7 +51,7 @@ class Options {
   void Set(const std::string& key, const std::string& value) { values_[key] = value; }
 
  private:
-  void RecordError(const std::string& key, const char* what) const;
+  void RecordError(const std::string& key, const std::string& what) const;
 
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> read_;

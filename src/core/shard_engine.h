@@ -177,7 +177,7 @@ struct ShardedComparison {
   std::vector<double> market_busy_s;    // Thread-CPU cost of each market.
   // Depends on the executor. In process it is the number of lanes started,
   // whether or not each ran a market, so every market_workers entry is
-  // below it (bench_skewed_population indexes per-worker sums by it). With
+  // below it (E19, skewed_population, indexes per-worker sums by it). With
   // processes > 0 it is the number of distinct workers that completed a
   // market in this call: 0 when every market was resumed from the journal.
   int workers_used = 0;

@@ -148,7 +148,6 @@ class Worker {
         ++tally_.responses;
         answered = true;
         if (options_.capture_responses) {
-          report_->captured[static_cast<size_t>(index_)].push_back(payload);
           report_->captured_frames[static_cast<size_t>(index_)].push_back(
               {static_cast<int32_t>(r), segment_, payload});
         }
@@ -340,7 +339,6 @@ Status RunLoadGen(const LoadGenOptions& options, LatencyHistogram& latency,
 
   *report = LoadGenReport{};
   if (options.capture_responses) {
-    report->captured.assign(static_cast<size_t>(options.connections), {});
     report->captured_frames.assign(static_cast<size_t>(options.connections), {});
   }
   std::vector<ConnectionTally> tallies(static_cast<size_t>(options.connections));

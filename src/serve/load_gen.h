@@ -55,8 +55,8 @@ struct LoadGenOptions {
   // Request shape: slot_count uniform in [1, max_slots], fixed deadline.
   uint32_t max_slots = 4;
   double deadline_s = 3.0 * 3600.0;
-  // Capture every response payload per connection (the equivalence test's
-  // evidence; costs memory, off for benches).
+  // Capture every response payload per connection (the evidence of the
+  // equivalence tests and the serving benches; costs memory, off by default).
   bool capture_responses = false;
 
   // Robustness knobs.
@@ -88,12 +88,11 @@ struct LoadGenReport {
   int64_t chaos_cuts = 0;
   double wall_s = 0.0;  // First connect to last response.
   double qps = 0.0;     // responses / wall_s.
-  // responses[c][r] = raw response payload r of connection c (when captured).
-  std::vector<std::vector<std::string>> captured;
-  // Same payloads with provenance (when captured): which plan request each
-  // answers and which reconnect segment (server session) answered it — the
-  // chaos bench replays each segment against DecideBatch to prove the server
-  // never corrupted an answered response.
+  // captured_frames[c][k] = the k-th response payload connection c received
+  // (when captured), with its provenance: which plan request it answers and
+  // which reconnect segment (server session) answered it — the serving
+  // benches replay each segment against DecideBatch to prove the server never
+  // corrupted an answered response.
   struct CapturedFrame {
     int32_t request_index = 0;
     int32_t segment = 0;

@@ -131,6 +131,34 @@ TEST(OptionsTest, OutOfRangeIntegersFailBeforeTheCast) {
   EXPECT_TRUE(edges->error().empty());
 }
 
+TEST(OptionsTest, RangeGettersRefuseValuesOutsideTheirBounds) {
+  // A value the narrower type could not hold, or that falls outside the
+  // getter's bounds, falls back and names the key and the range.
+  for (const std::string value : {"70000", "-1"}) {
+    const auto options = ParseArgs({"port=" + value});
+    ASSERT_TRUE(options.has_value());
+    EXPECT_EQ(9, options->GetInt("port", 9, 0, 65535)) << value;
+    EXPECT_EQ(options->error(), "option 'port' must be in [0, 65535] (value '" + value + "')");
+  }
+  for (const std::string value : {"nan", "inf", "-0.5"}) {
+    const auto options = ParseArgs({"x=" + value});
+    ASSERT_TRUE(options.has_value());
+    EXPECT_EQ(2.0, options->GetDouble("x", 2.0, 0.0, std::numeric_limits<double>::infinity()))
+        << value;
+    EXPECT_NE(options->error().find("option 'x' must be a finite number in [0, inf]"),
+              std::string::npos)
+        << value << ": " << options->error();
+  }
+  // The bounds themselves are in range, and a missing key reads its fallback.
+  const auto edges = ParseArgs({"lo=0", "hi=65535", "days=3650"});
+  ASSERT_TRUE(edges.has_value());
+  EXPECT_EQ(0, edges->GetInt("lo", 5, 0, 65535));
+  EXPECT_EQ(65535, edges->GetInt("hi", 5, 0, 65535));
+  EXPECT_EQ(3650.0, edges->GetDouble("days", 9.0, 1.0, 3650.0));
+  EXPECT_EQ(5, edges->GetInt("absent", 5, 0, 65535));
+  EXPECT_TRUE(edges->error().empty());
+}
+
 TEST(OptionsTest, WellTypedReadsLeaveErrorEmpty) {
   const auto options = ParseArgs({"n=3", "f=1.5", "b=true"});
   ASSERT_TRUE(options.has_value());

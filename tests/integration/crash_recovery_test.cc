@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -431,35 +432,64 @@ ShardEngineOptions ProcessOptions(int processes, const std::string& path) {
   return options;
 }
 
+// Market records fully written to a journal file, its header frame aside;
+// 0 while the file does not exist.
+int JournalRecords(const std::string& path) {
+  const std::string bytes = ReadFileBytes(path);
+  int frames = 0;
+  for (size_t pos = 8; pos + 8 <= bytes.size(); ++frames) {
+    pos += 8 + ReadU32At(bytes, pos);
+    if (pos > bytes.size()) {
+      break;  // A record still being written.
+    }
+  }
+  return std::max(0, frames - 1);
+}
+
 TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
-  const PadConfig config = TestConfig();
+  // 12 markets, so a worker that has journaled one or two of them still has
+  // several left to simulate when the kill lands.
+  PadConfig config = TestConfig();
+  config.population.num_users = 240;
+  config.campaigns.arrivals_per_day = 360.0;
+  config.market_users = 20;
   const ShardedComparison golden = MustRun(config, BaseOptions());
 
-  for (const int kill_delay_ms : {5, 30}) {
-    SCOPED_TRACE("kill worker 0 after " + std::to_string(kill_delay_ms) + " ms");
-    const std::string path = TempPath("mp_kill_" + std::to_string(kill_delay_ms) + "_" +
+  for (const int records : {1, 2}) {
+    SCOPED_TRACE("kill worker 0 once it has journaled " + std::to_string(records) +
+                 " market(s)");
+    const std::string path = TempPath("mp_kill_" + std::to_string(records) + "_" +
                                       std::to_string(getpid()) + ".ckpt");
     std::remove(path.c_str());
 
-    // Aim a SIGKILL at worker 0 mid-market. The killer thread starts only
+    // Aim a SIGKILL at worker 0 mid-run, on progress rather than on a clock:
+    // once its journal holds `records` markets, it is reporting the last or
+    // starting the next (the kill lands on either side about equally often),
+    // with several markets still to simulate. The killer thread starts only
     // once the LAST worker is forked, so every fork still happens from a
-    // single-threaded coordinator; by then worker 0 is deep in simulation.
+    // single-threaded coordinator.
     ShardEngineOptions options = ProcessOptions(2, path);
     pid_t victim = -1;
+    std::atomic<bool> finished{false};
     std::thread killer;
     options.on_worker_spawn = [&](int worker, pid_t pid) {
       if (worker == 0) {
         victim = pid;
       }
       if (worker == 1) {
-        const pid_t target = victim;
-        killer = std::thread([target, kill_delay_ms] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(kill_delay_ms));
-          kill(target, SIGKILL);
+        killer = std::thread([&finished, target = victim, records,
+                              journal = WorkerJournalPath(path, 0)] {
+          while (!finished.load() && JournalRecords(journal) < records) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          if (!finished.load()) {
+            kill(target, SIGKILL);
+          }
         });
       }
     };
     const ShardedComparison run = MustRun(config, options);
+    finished.store(true);
     if (killer.joinable()) {
       killer.join();
     }

@@ -169,11 +169,14 @@ TEST_F(ServingEquivalenceTest, ServedBytesEqualBatchBytes) {
   for (int c = 0; c < load.connections; ++c) {
     const std::vector<WireRequest> plan = BuildRequestPlan(load, c);
     const std::vector<WireResponse> expected = engine_->DecideBatch(plan);
-    const std::vector<std::string>& got = report.captured[static_cast<size_t>(c)];
+    const auto& got = report.captured_frames[static_cast<size_t>(c)];
     ASSERT_EQ(got.size(), expected.size()) << "connection " << c;
     for (size_t r = 0; r < expected.size(); ++r) {
-      ASSERT_EQ(got[r], EncodeResponsePayload(expected[r]))
+      ASSERT_EQ(got[r].payload, EncodeResponsePayload(expected[r]))
           << "connection " << c << " request " << r;
+      // No chaos, no retries: one session per connection, answered in order.
+      EXPECT_EQ(got[r].request_index, static_cast<int32_t>(r));
+      EXPECT_EQ(got[r].segment, 0);
     }
   }
 }
@@ -201,7 +204,14 @@ TEST_F(ServingEquivalenceTest, RepeatedRunsServeIdenticalBytes) {
     server_thread.join();
     ASSERT_EQ(reports[static_cast<size_t>(round)].errors, 0);
   }
-  EXPECT_EQ(reports[0].captured, reports[1].captured);
+  for (int c = 0; c < load.connections; ++c) {
+    const auto& first = reports[0].captured_frames[static_cast<size_t>(c)];
+    const auto& second = reports[1].captured_frames[static_cast<size_t>(c)];
+    ASSERT_EQ(first.size(), second.size()) << "connection " << c;
+    for (size_t r = 0; r < first.size(); ++r) {
+      EXPECT_EQ(first[r].payload, second[r].payload) << "connection " << c << " request " << r;
+    }
+  }
 }
 
 TEST_F(ServingEquivalenceTest, MalformedFrameGetsBadRequestThenClose) {

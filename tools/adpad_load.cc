@@ -37,6 +37,7 @@
 // Exit codes: 0 all requests answered, 1 invalid arguments, 2 connect
 // failure or any sheds/errors (the run did not measure what it claims).
 #include <iostream>
+#include <limits>
 
 #include "src/common/options.h"
 #include "src/common/stats.h"
@@ -61,13 +62,16 @@ int Main(int argc, char** argv) {
 
   LoadGenOptions load;
   load.host = options->GetString("host", "127.0.0.1");
-  load.port = static_cast<uint16_t>(options->GetInt("port", 0));
+  // Keys narrowed to an unsigned type are range-checked first, so a value
+  // the type cannot hold is refused instead of wrapping.
+  load.port = static_cast<uint16_t>(options->GetInt("port", 0, 0, 65535));
   load.connections = options->GetInt("connections", 8);
   load.requests_per_connection = options->GetInt("requests", 100);
   load.first_client = options->GetInt("first_client", 0);
   load.client_count = options->GetInt("client_count", 0);
   load.seed = static_cast<uint64_t>(options->GetInt("seed", 1));
-  load.max_slots = static_cast<uint32_t>(options->GetInt("max_slots", 4));
+  load.max_slots = static_cast<uint32_t>(
+      options->GetInt("max_slots", 4, 0, std::numeric_limits<int>::max()));
   load.deadline_s = options->GetDouble("deadline_s", load.deadline_s);
   load.req_timeout_ms = options->GetInt("req_timeout_ms", 0);
   load.retry_max = options->GetInt("retry_max", 0);

@@ -42,6 +42,7 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <limits>
 
 #include "src/common/options.h"
 #include "src/common/rng.h"
@@ -69,6 +70,9 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
+  // Keys narrowed to an unsigned type are range-checked first, so a value
+  // the type cannot hold is refused instead of wrapping.
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   ServeConfig config = DefaultServeConfig(options->GetInt("users", 200));
   config.pad.seed = static_cast<uint64_t>(options->GetInt("seed", 1234));
   config.pad.population.seed = config.pad.seed;
@@ -76,7 +80,8 @@ int Main(int argc, char** argv) {
   // population's parameter draws.
   uint64_t book_state = config.pad.seed;
   config.pad.campaigns.seed = SplitMix64(book_state);
-  config.max_bundle_ads = static_cast<uint32_t>(options->GetInt("max_bundle_ads", 32));
+  config.max_bundle_ads =
+      static_cast<uint32_t>(options->GetInt("max_bundle_ads", 32, 0, kMaxInt));
   config.pad.campaigns.arrivals_per_day =
       options->GetDouble("arrivals_per_day", config.pad.campaigns.arrivals_per_day);
   // Campaigns take the population's segment count (AlignInputsConfig).
@@ -87,14 +92,14 @@ int Main(int argc, char** argv) {
 
   AdServerOptions server_options;
   server_options.host = options->GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(options->GetInt("port", 0));
+  server_options.port = static_cast<uint16_t>(options->GetInt("port", 0, 0, 65535));
   server_options.max_sessions = options->GetInt("max_sessions", 256);
   server_options.accept_backlog = options->GetInt("accept_backlog", 64);
   server_options.idle_timeout_ms = options->GetInt("idle_timeout_ms", 0);
   server_options.write_stall_ms = options->GetInt("write_stall_ms", 0);
   server_options.max_inflight = options->GetInt("max_inflight", server_options.max_inflight);
   server_options.max_out_bytes =
-      static_cast<size_t>(options->GetInt("max_out_kib", 256)) * 1024;
+      static_cast<size_t>(options->GetInt("max_out_kib", 256, 0, kMaxInt)) * 1024;
   server_options.so_sndbuf = options->GetInt("sndbuf", 0);
   server_options.chaos_seed = static_cast<uint64_t>(options->GetInt("chaos_seed", 0));
   server_options.chaos.partial_write_rate = options->GetDouble("chaos_partial_write_rate", 0.0);

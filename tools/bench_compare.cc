@@ -5,15 +5,19 @@
 //   $ bench_compare BENCH_population_scale.json /tmp/new.json
 //         --default_tol 0.05 --tol sold_count=0.10 --ignore users_per_s
 //
-// Both files are BenchRow arrays as written by any bench_* harness's
-// `--json <path>` (see src/common/bench_baseline.h). Rows are matched by
-// (bench, metric, config); each matched pair must agree within the metric's
-// relative tolerance.
+// Both files are BenchRow arrays as written by `adpad_bench <experiment>
+// json=<path>` or `bench_micro --json <path>` (see
+// src/common/bench_baseline.h). Rows are matched by (bench, metric, config);
+// each matched pair must agree within the metric's relative tolerance, which
+// must parse in full as a finite number >= 0.
 //
 // Exit codes: 0 all metrics within tolerance; 1 a metric drifted past its
-// tolerance or vanished from the candidate; 2 usage, IO, or parse errors.
+// tolerance or vanished from the candidate; 2 usage, IO, or parse errors, a
+// malformed tolerance, or a gate that compares nothing (--config selects no
+// baseline row, or every selected row is ignored).
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,13 +47,29 @@ int Usage() {
   return 2;
 }
 
+// Parses `text` whole as a finite relative tolerance >= 0: "1%" or "abc"
+// must not read as a number.
+bool ParseTolerance(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::cerr << "bench_compare: a tolerance must be a finite number >= 0, got '" << text
+              << "'\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 int Run(int argc, char** argv) {
   std::vector<std::string> files;
   BenchCompareOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--default_tol" && i + 1 < argc) {
-      options.default_tolerance = std::atof(argv[++i]);
+      if (!ParseTolerance(argv[++i], &options.default_tolerance)) {
+        return 2;
+      }
     } else if (arg == "--tol" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const size_t eq = spec.find('=');
@@ -57,7 +77,9 @@ int Run(int argc, char** argv) {
         std::cerr << "bench_compare: --tol wants metric=R, got '" << spec << "'\n";
         return 2;
       }
-      options.metric_tolerance[spec.substr(0, eq)] = std::atof(spec.c_str() + eq + 1);
+      if (!ParseTolerance(spec.substr(eq + 1), &options.metric_tolerance[spec.substr(0, eq)])) {
+        return 2;
+      }
     } else if (arg == "--ignore" && i + 1 < argc) {
       options.ignore_metrics.insert(argv[++i]);
     } else if (arg == "--config" && i + 1 < argc) {
@@ -83,6 +105,16 @@ int Run(int argc, char** argv) {
   }
 
   const std::vector<BenchDiff> diffs = CompareBenchRows(baseline, candidate, options);
+  // A filter that drifted from the rows' config label, or an ignore list
+  // that covers everything, would otherwise pass having compared nothing.
+  const bool gated = std::any_of(diffs.begin(), diffs.end(), [](const BenchDiff& diff) {
+    return diff.status != BenchDiffStatus::kIgnored && diff.status != BenchDiffStatus::kExtra;
+  });
+  if (!gated) {
+    std::cerr << "bench_compare: no baseline row is gated (each is filtered out by --config "
+                 "or ignored)\n";
+    return 2;
+  }
   TextTable table({"bench", "metric", "config", "baseline", "candidate", "rel_diff",
                    "tol", "status"});
   for (const BenchDiff& diff : diffs) {
