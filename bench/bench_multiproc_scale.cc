@@ -82,9 +82,7 @@ int RunCase(const bench::SpeedupCase& bench_case, bench::BenchJson& json, double
   PrintBanner(std::cout,
               "E22: multi-process scaling (" + bench_case.name + ": " + label + ")");
 
-  const char* tmpdir = std::getenv("TMPDIR");
-  const std::string journal = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
-                              "/multiproc_scale_" + bench_case.name + ".ckpt";
+  const std::string journal = bench::JournalPath("multiproc_scale_" + bench_case.name);
   const EngineRun single = RunAtProcessCount(config, 1, journal);
   const EngineRun pool = RunAtProcessCount(config, kProcesses, journal);
 

@@ -118,9 +118,7 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
   json.Add("max_rss_mib", rss_mib, "MiB", label);
 
   if (scale.measure_checkpoint) {
-    const char* tmpdir = std::getenv("TMPDIR");
-    const std::string journal = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
-                                "/population_scale.ckpt";
+    const std::string journal = bench::JournalPath("population_scale");
     std::remove(journal.c_str());
     ShardEngineOptions journaled = options;
     journaled.checkpoint_path = journal;

@@ -10,8 +10,11 @@
 #ifndef ADPAD_BENCH_BENCH_UTIL_H_
 #define ADPAD_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -215,6 +218,15 @@ inline double Makespan(const ShardedComparison& result, int workers, double* tot
     *total_busy_s += busy;
   }
   return makespan;
+}
+
+// `$TMPDIR/<stem>_<pid>.ckpt` (under /tmp without TMPDIR): a journal path no
+// other process shares, so benches run side by side on one TMPDIR never
+// resume or delete each other's journals.
+inline std::string JournalPath(const std::string& stem) {
+  const char* tmpdir = std::getenv("TMPDIR");
+  return std::string(tmpdir != nullptr ? tmpdir : "/tmp") + "/" + stem + "_" +
+         std::to_string(getpid()) + ".ckpt";
 }
 
 // The experiments adpad_bench dispatches to, one per bench_<name>.cc.

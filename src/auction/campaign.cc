@@ -7,51 +7,58 @@
 
 namespace pad {
 
-std::vector<Campaign> GenerateCampaignStream(const CampaignStreamConfig& config,
-                                             int64_t first_id) {
+CampaignStream::CampaignStream(const CampaignStreamConfig& config, int64_t first_id)
+    : config_(config),
+      rng_(config.seed),
+      rate_per_s_(config.arrivals_per_day / kDay),
+      next_id_(first_id) {
   PAD_CHECK(config.horizon_s > 0.0);
   PAD_CHECK(config.arrivals_per_day > 0.0);
-  Rng rng(config.seed);
+}
 
+std::optional<Campaign> CampaignStream::Next() {
+  t_ += rng_.Exponential(rate_per_s_);
+  if (t_ >= config_.horizon_s) {
+    return std::nullopt;
+  }
+  Campaign campaign;
+  campaign.campaign_id = next_id_++;
+  campaign.arrival_time = t_;
+  const double cpm = rng_.LogNormal(config_.cpm_mu, config_.cpm_sigma);
+  campaign.bid_per_impression = cpm / 1000.0;
+  campaign.target_impressions =
+      std::max<int64_t>(1, static_cast<int64_t>(std::llround(
+                               rng_.LogNormal(config_.target_mu, config_.target_sigma))));
+  campaign.display_deadline_s = config_.display_deadline_s;
+  if (config_.num_segments > 1 && rng_.Bernoulli(config_.targeted_fraction)) {
+    PAD_CHECK(config_.num_segments <= kMaxSegments);
+    uint32_t mask = 0;
+    for (int s = 0; s < config_.num_segments; ++s) {
+      if (rng_.Bernoulli(config_.segment_selectivity)) {
+        mask |= 1u << static_cast<uint32_t>(s);
+      }
+    }
+    if (mask == 0) {  // Target at least one segment.
+      mask = 1u << static_cast<uint32_t>(rng_.UniformInt(0, config_.num_segments - 1));
+    }
+    campaign.segment_mask = mask;
+  }
+  if (rng_.Bernoulli(config_.capped_fraction)) {
+    campaign.frequency_cap_per_day = config_.frequency_cap_per_day;
+  }
+  if (rng_.Bernoulli(config_.budgeted_fraction)) {
+    campaign.budget_usd = config_.budget_value_multiple * campaign.bid_per_impression *
+                          static_cast<double>(campaign.target_impressions);
+  }
+  return campaign;
+}
+
+std::vector<Campaign> GenerateCampaignStream(const CampaignStreamConfig& config,
+                                             int64_t first_id) {
   std::vector<Campaign> campaigns;
-  const double rate_per_s = config.arrivals_per_day / kDay;
-  double t = 0.0;
-  int64_t id = first_id;
-  for (;;) {
-    t += rng.Exponential(rate_per_s);
-    if (t >= config.horizon_s) {
-      break;
-    }
-    Campaign campaign;
-    campaign.campaign_id = id++;
-    campaign.arrival_time = t;
-    const double cpm = rng.LogNormal(config.cpm_mu, config.cpm_sigma);
-    campaign.bid_per_impression = cpm / 1000.0;
-    campaign.target_impressions =
-        std::max<int64_t>(1, static_cast<int64_t>(
-                                 std::llround(rng.LogNormal(config.target_mu, config.target_sigma))));
-    campaign.display_deadline_s = config.display_deadline_s;
-    if (config.num_segments > 1 && rng.Bernoulli(config.targeted_fraction)) {
-      PAD_CHECK(config.num_segments <= kMaxSegments);
-      uint32_t mask = 0;
-      for (int s = 0; s < config.num_segments; ++s) {
-        if (rng.Bernoulli(config.segment_selectivity)) {
-          mask |= 1u << static_cast<uint32_t>(s);
-        }
-      }
-      if (mask == 0) {  // Target at least one segment.
-        mask = 1u << static_cast<uint32_t>(rng.UniformInt(0, config.num_segments - 1));
-      }
-      campaign.segment_mask = mask;
-    }
-    if (rng.Bernoulli(config.capped_fraction)) {
-      campaign.frequency_cap_per_day = config.frequency_cap_per_day;
-    }
-    if (rng.Bernoulli(config.budgeted_fraction)) {
-      campaign.budget_usd = config.budget_value_multiple * campaign.bid_per_impression *
-                            static_cast<double>(campaign.target_impressions);
-    }
-    campaigns.push_back(campaign);
+  CampaignStream stream(config, first_id);
+  while (const std::optional<Campaign> campaign = stream.Next()) {
+    campaigns.push_back(*campaign);
   }
   return campaigns;
 }

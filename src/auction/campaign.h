@@ -10,6 +10,7 @@
 #define ADPAD_SRC_AUCTION_CAMPAIGN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -78,6 +79,25 @@ struct CampaignStreamConfig {
   double budget_value_multiple = 0.5;
 
   uint64_t seed = 7;
+};
+
+// The stream one campaign at a time, in arrival order, ids dense from
+// `first_id`: the one definition of its draw sequence. A consumer that keeps
+// only part of each campaign (the serving book) reads it here instead of
+// holding every record.
+class CampaignStream {
+ public:
+  explicit CampaignStream(const CampaignStreamConfig& config, int64_t first_id = 1);
+
+  // The next campaign to arrive before the horizon; nullopt once none does.
+  std::optional<Campaign> Next();
+
+ private:
+  CampaignStreamConfig config_;
+  Rng rng_;
+  double rate_per_s_;
+  double t_ = 0.0;
+  int64_t next_id_;
 };
 
 // Campaigns sorted by arrival time, ids dense from `first_id`.

@@ -1,7 +1,6 @@
 #include "src/overbook/display_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/check.h"
 #include "src/overbook/poisson_binomial.h"
@@ -25,26 +24,8 @@ double DiscountedDisplayProbability(const ClientSlotEstimate& estimate, double d
 }
 
 int ConfidentCapacity(const ClientSlotEstimate& estimate, double deadline_s, double confidence) {
-  PAD_CHECK(confidence > 0.0 && confidence < 1.0);
-  const double mean = estimate.slots_per_s * deadline_s;
-  const double variance = estimate.var_per_s * deadline_s;
-  // P(X >= q) is decreasing in q, so binary-search the largest q that still
-  // clears the bar. A linear walk is O(capacity^2) in tail evaluations and
-  // melts down when a noisy predictor reports a huge mean.
-  int lo = 0;  // Invariant: P(X >= lo) >= confidence (trivially, P >= 0).
-  int hi = static_cast<int>(mean + 10.0 * std::sqrt(variance + 1.0)) + 2;
-  while (OverdispersedTailGeq(mean, variance, hi) >= confidence) {
-    hi *= 2;  // Defensive: the bound above should already fail.
-  }
-  while (lo + 1 < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (OverdispersedTailGeq(mean, variance, mid) >= confidence) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return OverdispersedTailQuantile(estimate.slots_per_s * deadline_s,
+                                   estimate.var_per_s * deadline_s, confidence);
 }
 
 }  // namespace pad

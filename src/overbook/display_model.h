@@ -40,7 +40,9 @@ double DiscountedDisplayProbability(const ClientSlotEstimate& estimate, double d
 // The largest queue depth a client can confidently drain within deadline_s:
 // max q such that P(slot count >= q) >= confidence. This is the server's
 // per-client sale budget — selling past it turns the marginal impression
-// into a coin flip. Returns 0 when even one slot is not confident.
+// into a coin flip. Returns 0 when even one slot is not confident. One
+// forward walk over the tail (OverdispersedTailQuantile), O(capacity), for
+// any deadline: a week at a busy client's rate works too.
 int ConfidentCapacity(const ClientSlotEstimate& estimate, double deadline_s, double confidence);
 
 }  // namespace pad

@@ -38,15 +38,29 @@ double PoissonBinomialTailGeqNormal(std::span<const double> probs, int k);
 double BinomialTailGeq(int n, double p, int k);
 
 // Upper tail of Poisson(lambda): P(N >= k). Exact via the series, summed from
-// the low side for stability.
+// the low side for stability. Where e^-lambda underflows (lambda past ~745)
+// the series starts at its first term >= DBL_MIN instead.
 double PoissonTailGeq(double lambda, int k);
 
 // Upper tail of an overdispersed count with the given mean and variance,
 // P(N >= k), modeled as a negative binomial (the natural fit for session-
 // bursty slot arrivals: Poisson sessions x per-session slot bursts).
 // Degenerates gracefully: variance <= mean falls back to Poisson(mean), and
-// a near-zero variance becomes the deterministic threshold mean >= k.
+// a near-zero variance becomes the deterministic threshold mean >= k. As for
+// PoissonTailGeq, an underflowed first term starts the series at its first
+// normal term.
 double OverdispersedTailGeq(double mean, double variance, int k);
+
+// The largest k with OverdispersedTailGeq(mean, variance, k) >= confidence,
+// for confidence in (0, 1): one forward walk over the partial sums
+// OverdispersedTailGeq forms, stopping at the first count whose tail falls
+// below the confidence, so O(k) terms in all. Where the first term is
+// subnormal and the sum, carried on its few bits, never reaches
+// 1 - confidence, the walk restarts from the term's logarithm. A confidence
+// below the tail's rounding (~1e-16) is never crossed; the walk then stops
+// where no further term moves the sum and returns that count. The result
+// never exceeds INT_MAX. Requires a finite mean and variance, both >= 0.
+int OverdispersedTailQuantile(double mean, double variance, double confidence);
 
 }  // namespace pad
 

@@ -258,8 +258,12 @@ bool AdServer::ReadInput(Connection& connection) {
       if (!appended.ok()) {
         break;  // Poisoned reader; ProcessFrames reports and closes.
       }
-      if (dribble) {
-        break;  // One byte this round; epoll (level-triggered) re-fires.
+      // A dribbled frame gets one byte this round, and a short read has
+      // emptied the socket: either way stop here, as level-triggered epoll
+      // fires again once more is readable (EOF included). Reading on to
+      // EAGAIN would add a failed read to every readiness event.
+      if (dribble || static_cast<size_t>(n) < sizeof(buffer)) {
+        break;
       }
       continue;
     }

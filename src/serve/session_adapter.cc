@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "src/apps/app_profile.h"
 #include "src/auction/auction.h"
 #include "src/common/task_scheduler.h"
-#include "src/common/units.h"
 #include "src/core/pad_simulation.h"
 #include "src/overbook/display_model.h"
 #include "src/prediction/slot_series.h"
@@ -15,12 +15,6 @@
 
 namespace pad {
 namespace {
-
-// Requests promising a deadline beyond this are rejected before the capacity
-// model sees them: the display model's mean slot count is rate * deadline,
-// and an absurd deadline (say 1e300 s) would push that past integer range.
-// A week is already far beyond any deadline the paper's market would sell.
-constexpr double kMaxRequestDeadlineS = kWeek;
 
 // Clients per snapshot-build task. A fixed size, not a knob: the snapshot
 // is the same at any chunking. 128 clients are milliseconds of trace
@@ -129,18 +123,29 @@ void DecisionEngine::BuildBook(const CampaignStreamConfig& campaigns, double sna
   CampaignStreamConfig book = campaigns;
   book.horizon_s = std::min(
       book.horizon_s, std::nextafter(snapshot, std::numeric_limits<double>::infinity()));
-  const std::vector<Campaign> live = GenerateCampaignStream(book);
-  active_campaigns_ = static_cast<int64_t>(live.size());
-  const int num_segments = std::max(1, campaigns.num_segments);
-  ladders_.assign(static_cast<size_t>(num_segments), {});
-  for (const Campaign& campaign : live) {
-    for (int s = 0; s < num_segments; ++s) {
-      if (!campaign.Targets(s)) {
-        continue;
+  const size_t num_segments = static_cast<size_t>(std::max(1, campaigns.num_segments));
+  // Two passes over the stream, which is cheap to redraw: the first sizes
+  // each ladder, the second fills it. The build holds no campaign records
+  // and no ladder outgrows its final size.
+  std::vector<size_t> sizes(num_segments, 0);
+  active_campaigns_ = 0;
+  for (CampaignStream stream(book); const std::optional<Campaign> campaign = stream.Next();) {
+    ++active_campaigns_;
+    for (size_t s = 0; s < num_segments; ++s) {
+      sizes[s] += campaign->Targets(static_cast<int>(s)) ? 1 : 0;
+    }
+  }
+  ladders_.assign(num_segments, {});
+  for (size_t s = 0; s < num_segments; ++s) {
+    ladders_[s].reserve(sizes[s]);
+  }
+  for (CampaignStream stream(book); const std::optional<Campaign> campaign = stream.Next();) {
+    for (size_t s = 0; s < num_segments; ++s) {
+      if (campaign->Targets(static_cast<int>(s))) {
+        ladders_[s].push_back(LadderEntry{campaign->bid_per_impression, campaign->campaign_id,
+                                          campaign->target_impressions,
+                                          campaign->frequency_cap_per_day});
       }
-      ladders_[static_cast<size_t>(s)].push_back(
-          LadderEntry{campaign.bid_per_impression, campaign.campaign_id,
-                      campaign.target_impressions, campaign.frequency_cap_per_day});
     }
   }
   for (std::vector<LadderEntry>& ladder : ladders_) {

@@ -10,7 +10,7 @@
 //   * market state — the campaign book and each client's slot-rate estimate —
 //     is an immutable snapshot built once at startup from the same
 //     generators the batch path uses (PopulationStream traces counted per
-//     window by CountSlots, GenerateCampaignStream demand, ConfidentCapacity
+//     window by CountSlots, CampaignStream demand, ConfidentCapacity
 //     sale sizing, RunSecondPriceAuction pricing);
 //   * per-client sale state — committed cache claims (inventory control),
 //     per-campaign demand consumption and frequency counts — lives in a
@@ -36,6 +36,7 @@
 
 #include "src/auction/campaign.h"
 #include "src/common/status.h"
+#include "src/common/units.h"
 #include "src/core/config.h"
 #include "src/serve/wire.h"
 
@@ -61,6 +62,13 @@ struct ServeConfig {
     return snapshot_time_s >= 0.0 ? snapshot_time_s : pad.WarmupS();
   }
 };
+
+// Requests promising a deadline beyond this are kBadRequest before the
+// capacity model sees them: the display model's mean slot count is
+// rate * deadline, and an absurd deadline (say 1e300 s) would push that past
+// integer range. A week is already far beyond any deadline the paper's
+// market would sell; every deadline up to it is answered.
+inline constexpr double kMaxRequestDeadlineS = kWeek;
 
 // A CI-sized serving config over `num_users` PopulationStream clients.
 ServeConfig DefaultServeConfig(int num_users);

@@ -226,6 +226,56 @@ TEST_F(SessionAdapterTest, SessionsAreIndependentUnderInterleaving) {
   }
 }
 
+// The display model's first term for a client at a deadline, as the model
+// computes it: e^-m when the variance does not exceed the mean m, else p^r.
+double FirstTerm(const DecisionEngine& engine, int64_t client, double deadline_s) {
+  const double mean = engine.client_slots_per_s(client) * deadline_s;
+  const double variance = engine.client_var_per_s(client) * deadline_s;
+  if (variance <= mean) {
+    return std::exp(-mean);
+  }
+  return std::pow(mean / variance, mean * mean / (variance - mean));
+}
+
+// At the longest deadline a request may carry, a busy, bursty client's
+// first term underflows to 0. The capacity search once read a tail of 1 at
+// every count there and never returned, wedging the server thread for every
+// connection. Every client must be answered at that deadline, and each
+// underflowing client at deadlines that step its first term down through
+// the subnormal range (the log of the first term is linear in the deadline).
+TEST_F(SessionAdapterTest, LongestDeadlineIsAnsweredWhereTheModelUnderflows) {
+  StatusOr<std::unique_ptr<DecisionEngine>> built =
+      DecisionEngine::Create(DefaultServeConfig(8192));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const DecisionEngine& engine = **built;
+  std::vector<int64_t> underflowing;
+  for (int64_t c = 0; c < engine.num_clients(); ++c) {
+    if (FirstTerm(engine, c, kMaxRequestDeadlineS) == 0.0) {
+      underflowing.push_back(c);
+    }
+  }
+  ASSERT_FALSE(underflowing.empty());
+  for (int64_t c = 0; c < engine.num_clients(); ++c) {
+    DecisionEngine::Session session = engine.NewSession();
+    const WireResponse response =
+        engine.Decide(session, WireRequest{static_cast<uint64_t>(c), 4, kMaxRequestDeadlineS});
+    ASSERT_EQ(response.status, ResponseStatus::kOk) << "client " << c;
+  }
+  for (const int64_t c : underflowing) {
+    const double log_first_per_s = std::log(FirstTerm(engine, c, 1.0));
+    for (double log_first = -700.0; log_first >= -760.0; log_first -= 0.25) {
+      const double deadline_s = std::min(log_first / log_first_per_s, kMaxRequestDeadlineS);
+      DecisionEngine::Session session = engine.NewSession();
+      const WireResponse response =
+          engine.Decide(session, WireRequest{static_cast<uint64_t>(c), 4, deadline_s});
+      ASSERT_EQ(response.status, ResponseStatus::kOk)
+          << "client " << c << " deadline " << deadline_s;
+      EXPECT_EQ(response.decision, DecisionKind::kBundle)
+          << "client " << c << " deadline " << deadline_s;
+    }
+  }
+}
+
 // A market big enough for the snapshot build to span many client chunks,
 // with three segments and uneven chunks: the first tenth of the clients
 // generate 20x the sessions of the rest.
